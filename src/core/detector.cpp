@@ -296,31 +296,36 @@ void MisuseDetector::step_cluster_batch(std::size_t c, std::span<ClusterState* c
   // precisions separately); rows are independent in every kernel, so the
   // result stays bit-identical to stepping each row alone. Degraded and
   // reference-path rows step individually.
-  thread_local nn::infer::EngineScratch scratch;
-  std::vector<nn::infer::EngineState*> eng_states;
-  std::vector<int> eng_actions;
-  std::vector<std::vector<float>*> eng_out;
-  std::vector<std::size_t> eng_rows;
+  // Per-thread staging, reused across calls: the serving hot path calls
+  // this once per cluster per fused step.
+  struct Rows {
+    nn::infer::EngineScratch engine;
+    std::vector<nn::infer::EngineState*> states;
+    std::vector<int> actions;
+    std::vector<std::vector<float>*> out;
+    std::vector<std::size_t> index;
+  };
+  thread_local Rows rows;
   for (int pass = 0; pass < 2; ++pass) {
     const bool want_quant = pass == 1;
-    eng_states.clear();
-    eng_actions.clear();
-    eng_out.clear();
-    eng_rows.clear();
+    rows.states.clear();
+    rows.actions.clear();
+    rows.out.clear();
+    rows.index.clear();
     for (std::size_t i = 0; i < states.size(); ++i) {
       ClusterState& state = *states[i];
       if (cluster_degraded(c) || !state.use_engine || state.use_quant != want_quant) continue;
       state.last_action = actions[i];
-      eng_states.push_back(&state.eng);
-      eng_actions.push_back(actions[i]);
-      eng_out.push_back(out[i]);
-      eng_rows.push_back(i);
+      rows.states.push_back(&state.eng);
+      rows.actions.push_back(actions[i]);
+      rows.out.push_back(out[i]);
+      rows.index.push_back(i);
     }
-    if (!eng_states.empty()) {
-      const bool deferred = engines_.at(c)->step_batch(eng_states, eng_actions, eng_out, scratch,
-                                                       want_quant, may_defer);
+    if (!rows.states.empty()) {
+      const bool deferred = engines_.at(c)->step_batch(rows.states, rows.actions, rows.out,
+                                                       rows.engine, want_quant, may_defer);
       if (deferred) {
-        for (const std::size_t i : eng_rows) dist_ready[i] = 0;
+        for (const std::size_t i : rows.index) dist_ready[i] = 0;
       }
     }
   }

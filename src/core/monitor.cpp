@@ -52,14 +52,10 @@ void OnlineMonitor::reset() {
 }
 
 OnlineMonitor::StepResult OnlineMonitor::observe(int action) {
-  // Per-step telemetry is counters + one histogram record — tens of ns,
-  // well inside the monitor's <5% overhead budget (see DESIGN.md). The
-  // Timer only runs when recording is on.
-  const bool record = metrics_enabled();
-  Timer step_timer;
-  StepResult result = begin_step(action);
-  advance(action);
-  if (record) record_step(result, step_timer.seconds());
+  OnlineMonitor* self = this;
+  StepResult result;
+  observe_batch(detector_, std::span<OnlineMonitor* const>(&self, 1),
+                std::span<const int>(&action, 1), std::span<StepResult>(&result, 1));
   return result;
 }
 
@@ -112,16 +108,6 @@ OnlineMonitor::StepResult OnlineMonitor::begin_step(int action) {
   return result;
 }
 
-void OnlineMonitor::advance(int action) {
-  // Advance every cluster model with the observed action so next step's
-  // predictions are available under either strategy. step_cluster_into
-  // reuses each distribution's buffer — no per-step allocation.
-  for (std::size_t c = 0; c < states_.size(); ++c) {
-    detector_.step_cluster_into(c, states_[c], action, next_distributions_[c]);
-    dist_ready_[c] = 1;
-  }
-}
-
 const std::vector<float>& OnlineMonitor::current_dist(std::size_t c) {
   if (dist_ready_[c] == 0) {
     detector_.materialize_cluster_dist(c, states_[c], next_distributions_[c]);
@@ -145,6 +131,9 @@ void OnlineMonitor::observe_batch(const MisuseDetector& detector,
                                   std::span<StepResult> results) {
   assert(monitors.size() == actions.size() && monitors.size() == results.size());
   if (monitors.empty()) return;
+  // Per-step telemetry is counters + one histogram record — tens of ns,
+  // well inside the monitor's <5% overhead budget (see DESIGN.md). The
+  // Timer only runs when recording is on.
   const bool record = metrics_enabled();
   Timer batch_timer;
   // Routing/alarm halves first (independent per monitor), then one fused
@@ -153,20 +142,28 @@ void OnlineMonitor::observe_batch(const MisuseDetector& detector,
     assert(&monitors[i]->detector_ == &detector);
     results[i] = monitors[i]->begin_step(actions[i]);
   }
-  std::vector<MisuseDetector::ClusterState*> states(monitors.size());
-  std::vector<std::vector<float>*> outs(monitors.size());
+  // Per-thread row staging, reused across calls (the serving hot path
+  // runs one batch per epoll wakeup).
+  struct Rows {
+    std::vector<MisuseDetector::ClusterState*> states;
+    std::vector<std::vector<float>*> outs;
+    std::vector<std::uint8_t> ready;
+  };
+  thread_local Rows rows;
+  rows.states.resize(monitors.size());
+  rows.outs.resize(monitors.size());
+  rows.ready.resize(monitors.size());
   // Let the engine defer head + softmax per row: next step's begin_step
   // only reads the argmax and voted clusters' distributions (usually one
   // cluster), and current_dist materializes those on demand.
-  std::vector<std::uint8_t> ready(monitors.size());
   for (std::size_t c = 0; c < detector.cluster_count(); ++c) {
     for (std::size_t i = 0; i < monitors.size(); ++i) {
-      states[i] = &monitors[i]->states_[c];
-      outs[i] = &monitors[i]->next_distributions_[c];
+      rows.states[i] = &monitors[i]->states_[c];
+      rows.outs[i] = &monitors[i]->next_distributions_[c];
     }
-    detector.step_cluster_batch(c, states, actions, outs, ready);
+    detector.step_cluster_batch(c, rows.states, actions, rows.outs, rows.ready);
     for (std::size_t i = 0; i < monitors.size(); ++i) {
-      monitors[i]->dist_ready_[c] = ready[i];
+      monitors[i]->dist_ready_[c] = rows.ready[i];
     }
   }
   if (record) {

@@ -93,17 +93,19 @@ class OnlineMonitor {
     std::vector<ExpectedAction> expected;
   };
 
-  /// Feeds one observed action.
+  /// Feeds one observed action: observe_batch over this one monitor.
   StepResult observe(int action);
 
-  /// Feeds one action into each of `monitors` (all built over `detector`),
-  /// writing monitors[i]'s step result for actions[i] into results[i].
-  /// The cluster-model advance runs as one batched forward per cluster
-  /// across all monitors (the inference engine's step_batch). With the
-  /// scalar kernels this is bit-identical to calling
-  /// monitors[i]->observe(actions[i]) in order — sessions only share
-  /// read-only weights. Under the opt-in AVX2 mode results stay
-  /// ULP-close but can depend on batch composition (the tile and
+  /// The monitor's one entry point. Feeds one action into each of
+  /// `monitors` (all built over `detector`), writing monitors[i]'s step
+  /// result for actions[i] into results[i]. The cluster-model advance
+  /// runs as one batched forward per cluster across all monitors (the
+  /// inference engine's step_batch), and only the distributions the
+  /// next step reads (argmax and voted cluster) ever get a head +
+  /// softmax. With the scalar kernels this is bit-identical to feeding
+  /// the monitors one at a time, in any batch composition — sessions
+  /// only share read-only weights. Under the opt-in AVX2 mode results
+  /// stay ULP-close but can depend on batch composition (the tile and
   /// single-row kernels reduce in different orders).
   static void observe_batch(const MisuseDetector& detector,
                             std::span<OnlineMonitor* const> monitors,
@@ -115,14 +117,11 @@ class OnlineMonitor {
   std::size_t steps() const { return step_; }
 
  private:
-  /// The routing/alarm half of observe(): consumes the *previous* step's
-  /// distributions, bumps step_. Must be followed by advance(action).
+  /// The routing/alarm half of a step: consumes the *previous* step's
+  /// distributions, bumps step_. observe_batch then advances the models.
   StepResult begin_step(int action);
-  /// The model half: advances every cluster state on the action and
-  /// refreshes next_distributions_.
-  void advance(int action);
-  /// next_distributions_[c], materializing it first if the last batched
-  /// advance deferred this cluster's head + softmax (dist_ready_[c] == 0).
+  /// next_distributions_[c], materializing it first if the last advance
+  /// deferred this cluster's head + softmax (dist_ready_[c] == 0).
   const std::vector<float>& current_dist(std::size_t c);
   void record_step(const StepResult& result, double seconds);
 
@@ -136,10 +135,10 @@ class OnlineMonitor {
   std::vector<MisuseDetector::ClusterState> states_;
   std::vector<std::vector<float>> next_distributions_;
   /// Per cluster: whether next_distributions_[c] reflects the state's
-  /// last advance. observe() computes eagerly (always 1); observe_batch
-  /// defers heads the routing half never reads — begin_step only ever
-  /// consumes the argmax and voted clusters' distributions, so the other
-  /// clusters' head + softmax work is skipped entirely.
+  /// last advance. observe_batch defers heads the routing half never
+  /// reads — begin_step only ever consumes the argmax and voted
+  /// clusters' distributions, so the other clusters' head + softmax work
+  /// is skipped entirely.
   std::vector<std::uint8_t> dist_ready_;
   TrendDetector trend_;
   std::size_t step_ = 0;

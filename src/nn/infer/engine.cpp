@@ -1,5 +1,6 @@
 #include "nn/infer/engine.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "nn/infer/kernels.hpp"
@@ -44,6 +45,69 @@ void scalar_gates(const PackedLstm& w, const float* h, int token, float* gates) 
     if (hp == 0.0f) continue;  // matches gemm_rows' zero-skip
     const float* wrow = w.wh.data() + p * g4;
     for (std::size_t j = 0; j < g4; ++j) gates[j] += hp * wrow[j];
+  }
+}
+
+// Batch twins of scalar_gates / scalar_head. Each weight row is loaded
+// once per (p, column tile) and applied to every batch row while it is
+// hot, instead of once per row; the weight stream is what bounds a
+// one-row step at paper shape (H = 256: 1 MB of wh per cluster). Every
+// output element still sees exactly the one-row kernel's operation
+// sequence — the same seed, then `+= h[p] * w[p][j]` in ascending p with
+// h[p] == 0 rows skipped — and tiling j only changes which elements are
+// in flight, never the order of operations on one of them. So batch ==
+// one-row bitwise, row by row.
+constexpr std::size_t kScalarTile = 256;  // columns per tile: 1 KB of a gate row
+
+void scalar_gates_batch(const PackedLstm& w, float* const* h, const int* tokens,
+                        float* const* gates, std::size_t n) {
+  const std::size_t hidden = w.hidden;
+  const std::size_t g4 = 4 * hidden;
+  const float* bias = w.bias.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    float* g = gates[i];
+    for (std::size_t j = 0; j < g4; ++j) g[j] = bias[j];
+    if (tokens[i] != kPadToken) {
+      assert(tokens[i] >= 0 && static_cast<std::size_t>(tokens[i]) < w.vocab);
+      const float* wxrow = w.wx.data() + static_cast<std::size_t>(tokens[i]) * g4;
+      for (std::size_t j = 0; j < g4; ++j) g[j] += wxrow[j];
+    }
+  }
+  for (std::size_t j0 = 0; j0 < g4; j0 += kScalarTile) {
+    const std::size_t j1 = std::min(g4, j0 + kScalarTile);
+    for (std::size_t p = 0; p < hidden; ++p) {
+      const float* wrow = w.wh.data() + p * g4;
+      for (std::size_t i = 0; i < n; ++i) {
+        const float hp = h[i][p];
+        if (hp == 0.0f) continue;
+        float* g = gates[i];
+        for (std::size_t j = j0; j < j1; ++j) g[j] += hp * wrow[j];
+      }
+    }
+  }
+}
+
+void scalar_head_batch(const PackedLstm& w, float* const* h, float* const* logits,
+                       std::size_t n) {
+  const std::size_t hidden = w.hidden;
+  const std::size_t v = w.head_out;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < v; ++j) logits[i][j] = 0.0f;
+  }
+  for (std::size_t j0 = 0; j0 < v; j0 += kScalarTile) {
+    const std::size_t j1 = std::min(v, j0 + kScalarTile);
+    for (std::size_t p = 0; p < hidden; ++p) {
+      const float* wrow = w.head_w.data() + p * v;
+      for (std::size_t i = 0; i < n; ++i) {
+        const float hp = h[i][p];
+        if (hp == 0.0f) continue;
+        float* out = logits[i];
+        for (std::size_t j = j0; j < j1; ++j) out[j] += hp * wrow[j];
+      }
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < v; ++j) logits[i][j] += w.head_b[j];
   }
 }
 
@@ -125,7 +189,7 @@ const Kernels* select_kernels() {
 const Kernels* scalar_kernels() {
   static const Kernels kernels = {
       &scalar_gates, &scalar_gates_quant, &scalar_activate_update, &scalar_head,
-      &scalar_head_quant, &scalar_softmax, nullptr, nullptr,
+      &scalar_head_quant, &scalar_softmax, &scalar_gates_batch, &scalar_head_batch,
   };
   return &kernels;
 }
@@ -182,16 +246,17 @@ bool LstmInferEngine::step_batch(std::span<EngineState* const> states, std::span
                                  EngineScratch& scratch, bool use_quant, bool defer_heads) const {
   assert(states.size() == actions.size() && states.size() == probs.size());
   const std::size_t n = states.size();
+  if (n == 0) return false;
   const Kernels* k = select_kernels();
-  if (n < 2 || use_quant || k->gates_batch == nullptr) {
+  if (use_quant) {
     for (std::size_t i = 0; i < n; ++i) {
       step(*states[i], actions[i], *probs[i], scratch, use_quant);
     }
     return false;
   }
-  // Fused path (avx2 only): register-blocked batch kernels. Scalar mode
-  // never takes this branch (null batch kernels), so scalar batch ==
-  // sequential bitwise; avx2 fusion stays in the table's ULP envelope.
+  // One row takes the one-row kernels (so a batch of one is exactly
+  // step() on every table); more rows take the fused batch kernels,
+  // which reuse each weight row across the batch.
   const std::size_t hidden = packed_.hidden;
   const std::size_t g4 = 4 * hidden;
   scratch.gates.resize(n * g4);
@@ -201,7 +266,11 @@ bool LstmInferEngine::step_batch(std::span<EngineState* const> states, std::span
     scratch.h_rows[i] = states[i]->h.data();
     scratch.gate_rows[i] = scratch.gates.data() + i * g4;
   }
-  k->gates_batch(packed_, scratch.h_rows.data(), actions.data(), scratch.gate_rows.data(), n);
+  if (n == 1) {
+    k->gates(packed_, scratch.h_rows[0], actions[0], scratch.gate_rows[0]);
+  } else {
+    k->gates_batch(packed_, scratch.h_rows.data(), actions.data(), scratch.gate_rows.data(), n);
+  }
   for (std::size_t i = 0; i < n; ++i) {
     k->activate_update(scratch.gate_rows[i], hidden, states[i]->c.data(), states[i]->h.data());
   }
@@ -212,7 +281,11 @@ bool LstmInferEngine::step_batch(std::span<EngineState* const> states, std::span
     scratch.logit_rows[i] = probs[i]->data();
   }
   // h advanced in place above; h_rows still point at the live storage.
-  k->head_batch(packed_, scratch.h_rows.data(), scratch.logit_rows.data(), n);
+  if (n == 1) {
+    k->head(packed_, scratch.h_rows[0], scratch.logit_rows[0]);
+  } else {
+    k->head_batch(packed_, scratch.h_rows.data(), scratch.logit_rows.data(), n);
+  }
   for (std::size_t i = 0; i < n; ++i) {
     k->softmax(scratch.logit_rows[i], packed_.head_out, scratch.logit_rows[i]);
   }

@@ -4,10 +4,12 @@
 // (nn/infer/packed.hpp); per-step scoring then runs allocation-free
 // through the kernel table selected by nn/infer/dispatch.hpp.
 //
-// Contract: with the scalar kernels, step()/step_batch() are bit-identical
-// to NextActionModel::step_into on the same weights and state — proven by
-// tests/test_infer.cpp — so every determinism guarantee (WAL replay, hot
-// swap, server-vs-offline) survives the fast path. The avx2 kernels are
+// Contract: with the scalar kernels, step() and step_batch() (fused
+// weight-reusing batch kernels, deferred heads recovered by
+// finish_probs) are bit-identical to NextActionModel::step_into on the
+// same weights and state — proven by tests/test_infer.cpp — so every
+// determinism guarantee (WAL replay, hot swap, server-vs-offline,
+// cross-session batches) survives the fast path. The avx2 kernels are
 // ULP-bounded instead; quantized scoring additionally changes the weights
 // and is gated by core/quant_gate.hpp.
 #pragma once
@@ -74,15 +76,17 @@ class LstmInferEngine {
             bool use_quant = false) const;
 
   /// Batched variant: states[i] advances on actions[i] into *probs[i].
-  /// Rows are processed independently, so the result is bit-identical to
-  /// n calls of step() in order, on every kernel.
+  /// Float rows run through the fused batch kernels (one row: the
+  /// one-row kernels); with the scalar table the result is bit-identical
+  /// to n calls of step() in order, with avx2 it stays in the ULP
+  /// envelope.
   ///
-  /// With defer_heads, the fused path advances every state but skips the
-  /// head + softmax (most batch consumers only ever read one or two
-  /// clusters' distributions; see OnlineMonitor); the probs vectors are
-  /// then left untouched and the call returns true — recover any row
-  /// later with finish_probs. Paths that cannot defer (sequential
-  /// fallback, quantized) ignore the flag, fill probs, and return false.
+  /// With defer_heads, every float path (n == 1 included) advances the
+  /// states but skips the head + softmax (most batch consumers only ever
+  /// read one or two clusters' distributions; see OnlineMonitor); the
+  /// probs vectors are then left untouched and the call returns true —
+  /// recover any row later with finish_probs. The quantized path loops
+  /// step(), ignores the flag, fills probs, and returns false.
   bool step_batch(std::span<EngineState* const> states, std::span<const int> actions,
                   std::span<std::vector<float>* const> probs, EngineScratch& scratch,
                   bool use_quant = false, bool defer_heads = false) const;

@@ -1,10 +1,14 @@
 // Internal kernel table for the inference engine.
 //
 // The scalar table reproduces the reference forward (nn/lstm.cpp +
-// nn/dense.cpp + softmax_row) expression-for-expression and leaves the
-// *_batch entries null, so batched scalar scoring loops the one-row
-// kernels and stays bit-identical to one-at-a-time scoring — the
-// determinism contract (WAL replay, hot swap) rides on this.
+// nn/dense.cpp + softmax_row) expression-for-expression. Its *_batch
+// entries are real fused kernels that load each weight row once per
+// batch, but they keep every row's per-element operation sequence
+// unchanged (seed with bias, then `+= wx[token]`; accumulate
+// `+= h[p] * w[p][j]` in ascending p; skip rows where h[p] == 0), so a
+// batched scalar step is bit-identical to the one-row kernels — the
+// determinism contract (WAL replay, hot swap, cross-session batching in
+// the server) rides on this.
 //
 // The avx2 table (nn/infer/engine_avx2.cpp, compiled with -mavx2 -mfma
 // -mf16c) is ULP-close to scalar, not bit-identical (vectorized exp
@@ -31,10 +35,10 @@ struct Kernels {
   void (*head_quant)(const QuantizedLstm& w, const float* h, float* logits);
   /// Stable softmax logits -> probs (may alias).
   void (*softmax)(const float* logits, std::size_t n, float* probs);
-  /// Fused batch variants; nullptr = the engine loops the one-row kernel
-  /// (the scalar table, which keeps batch == sequential bitwise). The
-  /// avx2 implementations may re-associate for throughput but must stay
-  /// inside the table's ULP envelope vs the one-row kernels.
+  /// Fused batch variants over n >= 2 rows. The scalar ones are
+  /// bit-identical to n one-row calls; the avx2 ones may re-associate
+  /// for throughput but must stay inside the table's ULP envelope vs
+  /// the one-row kernels.
   void (*gates_batch)(const PackedLstm& w, float* const* h, const int* tokens,
                       float* const* gates, std::size_t n);
   void (*head_batch)(const PackedLstm& w, float* const* h, float* const* logits, std::size_t n);

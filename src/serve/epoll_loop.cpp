@@ -19,6 +19,7 @@ namespace misuse::serve {
 namespace {
 
 constexpr std::size_t kReadChunk = 1 << 14;
+constexpr std::size_t kReadPerRound = 4 * kReadChunk;  // per connection per epoll round
 
 }  // namespace
 
@@ -26,7 +27,7 @@ EpollLoop::EpollLoop(EpollConfig config, EpollHandlers handlers)
     : config_(std::move(config)),
       handlers_(std::move(handlers)),
       listener_(TcpListener::bind(config_.port, config_.host)) {
-  if (!handlers_.on_line) throw std::runtime_error("EpollLoop needs an on_line handler");
+  if (!handlers_.on_lines) throw std::runtime_error("EpollLoop needs an on_lines handler");
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) {
     throw std::runtime_error(std::string("epoll_create1: ") + std::strerror(errno));
@@ -127,67 +128,92 @@ void EpollLoop::accept_ready() {
   }
 }
 
-bool EpollLoop::consume_lines(std::uint64_t id, Conn& conn) {
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t nl = conn.in.find('\n', start);
-    if (nl == std::string::npos) break;
-    std::size_t end = nl;
-    if (end > start && conn.in[end - 1] == '\r') --end;  // CRLF == LF
-    handlers_.on_line(id, std::string_view(conn.in).substr(start, end - start), conn.out);
-    start = nl + 1;
-  }
-  if (start > 0) conn.in.erase(0, start);
-  if (conn.in.size() > config_.max_line_bytes) {
-    // Same contract as LineReader::truncated(): an unbounded line is a
-    // protocol violation, and the stream it arrived on is abandoned.
-    overflowed_.fetch_add(1, std::memory_order_relaxed);
-    log_warn() << "connection " << id << " exceeded the " << config_.max_line_bytes
-               << "-byte line cap; closing";
+bool EpollLoop::read_ready(std::uint64_t id, Conn& conn) {
+  char buf[kReadChunk];
+  // Bounded per round, so one flooding peer can neither starve the
+  // others nor grow the gather without limit; level-triggered epoll
+  // reports whatever is left next round.
+  for (std::size_t round_bytes = 0; round_bytes < kReadPerRound;) {
+    std::size_t n = 0;
+    const IoStatus status = read_some(conn.fd, buf, sizeof(buf), n);
+    if (status == IoStatus::kOk) {
+      conn.in.append(buf, n);
+      round_bytes += n;
+      continue;
+    }
+    if (status == IoStatus::kWouldBlock) break;
+    if (status == IoStatus::kEof) {
+      conn.peer_eof = true;  // half-close: the final unterminated line still goes out
+      break;
+    }
+    retire(id, conn);  // kError: peer reset
     return false;
   }
   return true;
 }
 
-void EpollLoop::conn_readable(std::uint64_t id, Conn& conn) {
-  char buf[kReadChunk];
-  while (true) {
-    std::size_t n = 0;
-    const IoStatus status = read_some(conn.fd, buf, sizeof(buf), n);
-    if (status == IoStatus::kOk) {
-      conn.in.append(buf, n);
-      if (!consume_lines(id, conn)) {
-        retire(id, conn);
-        return;
-      }
-      // A producer whose replies we cannot drain must not grow the
-      // output buffer without bound: cut the slow consumer loose.
-      if (conn.out.size() - conn.out_off > config_.max_output_bytes) {
-        overflowed_.fetch_add(1, std::memory_order_relaxed);
-        log_warn() << "connection " << id << " exceeded the output backlog cap; closing";
-        retire(id, conn);
-        return;
-      }
-      continue;  // level-triggered, but draining now saves a wakeup
+void EpollLoop::dispatch_ready() {
+  lines_.clear();
+  for (const std::uint64_t id : ready_) {
+    const auto it = conns_.find(id);
+    if (it == conns_.end()) continue;  // retired later this round
+    Conn& conn = it->second;
+    const std::string_view in(conn.in);
+    std::size_t start = 0;
+    while (true) {
+      const std::size_t nl = in.find('\n', start);
+      if (nl == std::string_view::npos) break;
+      std::size_t end = nl;
+      if (end > start && in[end - 1] == '\r') --end;  // CRLF == LF
+      lines_.push_back({id, in.substr(start, end - start)});
+      start = nl + 1;
     }
-    if (status == IoStatus::kWouldBlock) break;
-    if (status == IoStatus::kEof) {
-      // Half-close: deliver a final unterminated line (LineReader
-      // parity), flush what we owe, then retire.
-      conn.peer_eof = true;
-      if (!conn.in.empty()) {
-        std::string line = std::move(conn.in);
-        conn.in.clear();
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        handlers_.on_line(id, line, conn.out);
-      }
-      break;
+    if (conn.peer_eof && start < in.size()) {
+      // Half-close: deliver the final unterminated line (LineReader parity).
+      std::string_view tail = in.substr(start);
+      if (tail.back() == '\r') tail.remove_suffix(1);
+      lines_.push_back({id, tail});
+      start = in.size();
     }
-    retire(id, conn);  // kError: peer reset
-    return;
+    conn.consumed = start;
   }
-  if (!flush_conn(id, conn)) return;
-  if (conn.peer_eof && conn.out_off == conn.out.size()) retire(id, conn);
+  if (!lines_.empty()) {
+    if (replies_.size() < lines_.size()) replies_.resize(lines_.size());
+    for (std::size_t i = 0; i < lines_.size(); ++i) replies_[i].clear();
+    handlers_.on_lines(lines_, std::span<std::string>(replies_.data(), lines_.size()));
+    // Lines are grouped by connection, so replies append in line order.
+    Conn* conn = nullptr;
+    for (std::size_t i = 0; i < lines_.size(); ++i) {
+      if (i == 0 || lines_[i].conn != lines_[i - 1].conn) conn = &conns_.at(lines_[i].conn);
+      conn->out += replies_[i];
+    }
+  }
+  for (const std::uint64_t id : ready_) {
+    const auto it = conns_.find(id);
+    if (it == conns_.end()) continue;
+    Conn& conn = it->second;
+    conn.in.erase(0, conn.consumed);
+    conn.consumed = 0;
+    if (conn.in.size() > config_.max_line_bytes) {
+      // Same contract as LineReader::truncated(): an unbounded line is a
+      // protocol violation, and the stream it arrived on is abandoned.
+      overflowed_.fetch_add(1, std::memory_order_relaxed);
+      log_warn() << "connection " << id << " exceeded the " << config_.max_line_bytes
+                 << "-byte line cap; closing";
+      retire(id, conn);
+      continue;
+    }
+    // A producer whose replies we cannot drain must not grow the output
+    // buffer without bound: cut the slow consumer loose.
+    if (conn.out.size() - conn.out_off > config_.max_output_bytes) {
+      overflowed_.fetch_add(1, std::memory_order_relaxed);
+      log_warn() << "connection " << id << " exceeded the output backlog cap; closing";
+      retire(id, conn);
+      continue;
+    }
+    if (!flush_conn(id, conn)) continue;
+    if (conn.peer_eof && conn.out_off == conn.out.size()) retire(id, conn);
+  }
 }
 
 bool EpollLoop::flush_conn(std::uint64_t id, Conn& conn) {
@@ -224,7 +250,7 @@ void EpollLoop::drain_posted() {
     if (it == conns_.end()) continue;
     Conn& conn = it->second;
     conn.out += data;
-    // Posted output obeys the same slow-consumer cap as on_line replies:
+    // Posted output obeys the same slow-consumer cap as on_lines replies:
     // in the router every verdict arrives via post(), so this is the
     // path a client that stops reading would otherwise grow unbounded.
     if (conn.out.size() - conn.out_off > config_.max_output_bytes) {
@@ -252,6 +278,7 @@ void EpollLoop::run() {
       log_error() << "epoll_wait: " << std::strerror(errno);
       break;
     }
+    ready_.clear();
     for (int i = 0; i < n; ++i) {
       const std::uint64_t id = events[i].data.u64;
       if (id == 0) {
@@ -279,8 +306,9 @@ void EpollLoop::run() {
           continue;
         }
       }
-      if ((events[i].events & EPOLLIN) != 0) conn_readable(id, conn);
+      if ((events[i].events & EPOLLIN) != 0 && read_ready(id, conn)) ready_.push_back(id);
     }
+    dispatch_ready();
     drain_posted();
     const auto now = std::chrono::steady_clock::now();
     if (handlers_.on_tick &&

@@ -20,13 +20,16 @@
 //     line is a protocol violation or an attack, same contract as
 //     LineReader).
 //
-// The loop owns no scoring state: the on_line handler decides what a
-// line means (misusedet_serve calls ScoringServer::submit_sync — the
-// same call the thread-per-connection path makes, so scored output is
-// byte-identical per connection; misusedet_router forwards the line to
-// a cluster node). Cross-thread writers (the router's upstream reply
-// readers) inject output via post(), which wakes the loop through an
-// eventfd. See DESIGN.md "Cluster serving".
+// The loop owns no scoring state. Each epoll_wait round it gathers the
+// complete lines of every ready connection and hands them to the
+// on_lines handler in one call, which decides what they mean:
+// misusedet_serve scores them as one ScoringServer::submit_batch (one
+// fused model step across sessions and shards; per-connection output
+// stays byte-identical to the thread-per-connection path), and
+// misusedet_router forwards each line to a cluster node (each_line).
+// Replies return to each connection in line order. Cross-thread writers
+// (the router's upstream reply readers) inject output via post(), which
+// wakes the loop through an eventfd. See DESIGN.md "Cluster serving".
 #pragma once
 
 #include <atomic>
@@ -34,6 +37,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -58,11 +62,23 @@ struct EpollConfig {
   double tick_seconds = 0.5;
 };
 
+/// One complete input line (terminator stripped) and its connection.
+struct EpollLine {
+  std::uint64_t conn = 0;
+  std::string_view text;  // valid for the duration of the on_lines call
+};
+
+/// Per-line handler shape: append '\n'-terminated reply lines to `replies`.
+using EpollLineHandler =
+    std::function<void(std::uint64_t conn, std::string_view line, std::string& replies)>;
+
 struct EpollHandlers {
-  /// One complete line (terminator stripped). Append '\n'-terminated
-  /// reply lines to `replies`; they return on the same connection in
-  /// call order. Required.
-  std::function<void(std::uint64_t conn, std::string_view line, std::string& replies)> on_line;
+  /// Every complete line one epoll_wait round gathered: connection by
+  /// connection, each connection's lines in arrival order (a half-closed
+  /// peer's final unterminated line included). replies[i] arrives empty;
+  /// append '\n'-terminated reply lines for lines[i] to it — they return
+  /// on lines[i].conn in line order. Required.
+  std::function<void(std::span<const EpollLine> lines, std::span<std::string> replies)> on_lines;
   /// Periodic callback on the loop thread (TTL sweeps, checkpoints,
   /// registry reloads). Optional.
   std::function<void()> on_tick;
@@ -70,6 +86,16 @@ struct EpollHandlers {
   /// shutdown). Fired exactly once per connection. Optional.
   std::function<void(std::uint64_t conn)> on_close;
 };
+
+/// Adapts a per-line handler to on_lines: calls it for each line in order.
+inline auto each_line(EpollLineHandler handler) {
+  return [handler = std::move(handler)](std::span<const EpollLine> lines,
+                                        std::span<std::string> replies) {
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      handler(lines[i].conn, lines[i].text, replies[i]);
+    }
+  };
+}
 
 class EpollLoop {
  public:
@@ -112,19 +138,22 @@ class EpollLoop {
     std::size_t out_off = 0; // flushed prefix of `out`
     bool want_write = false; // EPOLLOUT armed
     bool peer_eof = false;   // half-closed: no more input, flush then close
+    std::size_t consumed = 0;  // prefix of `in` the current round handed out
   };
 
   void accept_ready();
-  void conn_readable(std::uint64_t id, Conn& conn);
+  /// Reads what the socket holds (bounded per round) into conn.in.
+  /// Returns false when the connection died (already retired).
+  bool read_ready(std::uint64_t id, Conn& conn);
+  /// Runs on_lines once over the complete lines of every connection in
+  /// ready_, then routes replies, enforces the caps, and flushes.
+  void dispatch_ready();
   /// Flushes conn.out; arms/disarms EPOLLOUT. Returns false when the
   /// connection died (already retired).
   bool flush_conn(std::uint64_t id, Conn& conn);
   void retire(std::uint64_t id, Conn& conn);
   void drain_posted();
   void update_interest(std::uint64_t id, Conn& conn, bool want_write);
-  /// Splits complete lines out of conn.in and runs on_line for each.
-  /// Returns false when the connection was poisoned (line cap).
-  bool consume_lines(std::uint64_t id, Conn& conn);
 
   EpollConfig config_;
   EpollHandlers handlers_;
@@ -136,6 +165,10 @@ class EpollLoop {
   std::atomic<std::uint64_t> overflowed_{0};
   std::uint64_t next_id_ = 1;
   std::map<std::uint64_t, Conn> conns_;  // loop thread only
+  // One round's gather, reused across rounds (loop thread only).
+  std::vector<std::uint64_t> ready_;  // connections read this round
+  std::vector<EpollLine> lines_;
+  std::vector<std::string> replies_;
 
   std::mutex posted_mutex_;
   std::vector<std::pair<std::uint64_t, std::string>> posted_;

@@ -41,11 +41,16 @@ std::string session_key(const Event& event) {
 
 std::string session_key(std::string_view user_id, std::string_view session_id) {
   std::string key;
+  session_key_into(key, user_id, session_id);
+  return key;
+}
+
+void session_key_into(std::string& key, std::string_view user_id, std::string_view session_id) {
+  key.clear();
   key.reserve(user_id.size() + session_id.size() + 1);
   key += user_id;
   key += '\x1f';  // ASCII unit separator: cannot appear via JSON text unescaped ids in practice
   key += session_id;
-  return key;
 }
 
 std::uint64_t session_shard_hash(std::string_view key) {

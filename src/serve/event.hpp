@@ -42,6 +42,8 @@ bool parse_event(std::string_view line, Event& event, std::string& error);
 /// ("a:b","c") cannot collide.
 std::string session_key(const Event& event);
 std::string session_key(std::string_view user_id, std::string_view session_id);
+/// session_key into a caller-owned buffer (no allocation once it is warm).
+void session_key_into(std::string& key, std::string_view user_id, std::string_view session_id);
 
 /// Stable 64-bit FNV-1a over the session key — *not* std::hash, so shard
 /// assignment (and therefore per-shard processing order) is identical

@@ -282,7 +282,7 @@ int run_tcp(ScoringServer& server, std::uint16_t port, ModelReloader* reloader) 
 
   // Periodic TTL sweeps: event-time driven, checked on a coarse wall tick.
   // The same tick drives registry hot-swaps; connection threads blocked in
-  // submit_sync simply observe the new model once the barrier releases.
+  // submit_batch simply observe the new model once the barrier releases.
   std::thread sweeper([&server, &stdout_mutex, reloader] {
     std::vector<OutputRecord> out;
     while (!g_stop.load(std::memory_order_relaxed)) {
@@ -325,7 +325,7 @@ int run_tcp(ScoringServer& server, std::uint16_t port, ModelReloader* reloader) 
               stream->io().flush();
               continue;
             }
-            server.submit_sync(event, out);
+            server.submit_batch(std::span<const Event>(&event, 1), out);
             for (const auto& r : out) stream->io() << r.line << '\n';
             stream->io().flush();
             out.clear();
@@ -348,31 +348,42 @@ int run_tcp(ScoringServer& server, std::uint16_t port, ModelReloader* reloader) 
 }
 
 /// Epoll TCP mode: every connection multiplexed onto one nonblocking
-/// event loop. Each complete line goes through the same submit_sync call
-/// the thread-per-connection path makes, so per-connection scored output
-/// is byte-identical to --io=threads; TTL sweeps, checkpoints, and
-/// registry reloads ride the loop's tick (no sweeper thread), with
+/// event loop. All complete lines one wakeup delivers are scored as one
+/// submit_batch (one fused model step across the ready sessions); each
+/// record maps back to its line through its seq, so per-connection
+/// output is byte-identical to --io=threads. TTL sweeps, checkpoints,
+/// and registry reloads ride the loop's tick (no sweeper thread), with
 /// session reports on stdout as before.
 int run_epoll(ScoringServer& server, std::uint16_t port, ModelReloader* reloader) {
   EpollConfig config;
   config.port = port;
   EpollHandlers handlers;
-  std::vector<OutputRecord> records;  // reused across lines (loop thread only)
+  // Reused across wakeups (loop thread only).
+  std::vector<Event> events;
+  std::vector<std::size_t> event_line;  // events[k] came from lines[event_line[k]]
+  std::vector<OutputRecord> records;
   std::string error;
-  handlers.on_line = [&server, &records, &error](std::uint64_t, std::string_view line,
-                                                 std::string& replies) {
-    if (line.empty()) return;
-    Event event;
-    if (!parse_event(line, event, error)) {
-      serve_metrics().parse_errors.inc();
-      replies += render_error_record(error, line);
-      replies += '\n';
-      return;
+  handlers.on_lines = [&](std::span<const EpollLine> lines, std::span<std::string> replies) {
+    std::size_t n = 0;
+    event_line.clear();
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      if (lines[i].text.empty()) continue;
+      if (events.size() <= n) events.resize(n + 1);
+      if (!parse_event(lines[i].text, events[n], error)) {
+        serve_metrics().parse_errors.inc();
+        replies[i] += render_error_record(error, lines[i].text);
+        replies[i] += '\n';
+        continue;
+      }
+      event_line.push_back(i);
+      ++n;
     }
-    server.submit_sync(event, records);
+    if (n == 0) return;
+    const auto submitted = server.submit_batch(std::span<const Event>(events.data(), n), records);
     for (const auto& r : records) {
-      replies += r.line;
-      replies += '\n';
+      std::string& reply = replies[event_line[r.seq - submitted.first_seq]];
+      reply += r.line;
+      reply += '\n';
     }
     records.clear();
   };

@@ -15,6 +15,9 @@ ServeMetrics& serve_metrics() {
       metrics().gauge("serve.sessions_active"),
       metrics().gauge("serve.queue_depth"),
       metrics().histogram("serve.step_seconds"),
+      // Powers of two from 1 to 1024: a fused step holds at most what one
+      // epoll wakeup (or one pump drain) delivered.
+      metrics().histogram("serve.batch_events", exponential_buckets(1.0, 2.0, 11)),
       metrics().counter("serve.wal_appends"),
       metrics().counter("serve.wal_torn_records"),
       metrics().counter("serve.snapshot_failures"),

@@ -20,6 +20,7 @@ struct ServeMetrics {
   Gauge& sessions_active;      // serve.sessions_active (+ high-water mark)
   Gauge& queue_depth;          // serve.queue_depth — events queued across shards
   HistogramMetric& step_seconds;  // serve.step_seconds — per-event shard latency
+  HistogramMetric& batch_events;  // serve.batch_events — events per fused monitor step
 
   // Fault tolerance (see DESIGN.md "Fault tolerance").
   Counter& wal_appends;         // serve.wal_appends — records written to shard WALs

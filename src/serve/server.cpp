@@ -230,9 +230,10 @@ void ScoringServer::pump(std::vector<OutputRecord>& out) {
   for (auto& records : shard_out) {
     for (auto& r : records) out.push_back(std::move(r));
   }
-  // Unique seq tags restore the global arrival order across shards.
-  std::sort(out.begin() + static_cast<std::ptrdiff_t>(base), out.end(),
-            [](const OutputRecord& a, const OutputRecord& b) { return a.seq < b.seq; });
+  // Seq tags restore the global arrival order across shards (stable: an
+  // eviction report shares its triggering event's seq and goes first).
+  std::stable_sort(out.begin() + static_cast<std::ptrdiff_t>(base), out.end(),
+                   [](const OutputRecord& a, const OutputRecord& b) { return a.seq < b.seq; });
   record_queue_depth();
 }
 
@@ -418,26 +419,79 @@ bool ScoringServer::maybe_checkpoint(std::vector<OutputRecord>& out) {
   return true;
 }
 
-bool ScoringServer::submit_sync(const Event& event, std::vector<OutputRecord>& out) {
+ScoringServer::Submitted ScoringServer::submit_batch(std::span<const Event> events,
+                                                    std::vector<OutputRecord>& out) {
+  Submitted submitted;
+  if (events.empty()) return submitted;
+  const bool record = metrics_enabled();
+  Timer timer;
   const ModelHandle resolver = current_model();
-  const int action = resolve_action_id(resolver.detector->vocab(), event.action);
-  if (action < 0) {
-    serve_metrics().parse_errors.inc();
-    out.push_back({seq_.fetch_add(1, std::memory_order_relaxed),
-                   render_error_record("unknown action", event.action)});
-    return false;
+  // One contiguous seq block: event i is seq first + i, so every record
+  // (error, eviction report, step) maps back to its event.
+  submitted.first_seq = seq_.fetch_add(events.size(), std::memory_order_relaxed);
+  const std::size_t base = out.size();
+
+  // Per-thread staging, reused across calls (the threads front end calls
+  // this concurrently from its connection threads).
+  struct Batch {
+    std::vector<std::vector<SessionShard::PendingEvent>> per_shard;
+    std::vector<SessionShard*> tables;
+    std::vector<std::unique_lock<std::mutex>> locks;
+  };
+  thread_local Batch batch;
+  batch.per_shard.resize(shards_.size());
+  for (auto& pending : batch.per_shard) pending.clear();
+  std::size_t accepted = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const Event& event = events[i];
+    const std::uint64_t seq = submitted.first_seq + i;
+    const int action = resolve_action_id(resolver.detector->vocab(), event.action);
+    if (action < 0) {
+      serve_metrics().parse_errors.inc();
+      out.push_back({seq, render_error_record("unknown action", event.action)});
+      ++submitted.rejected;
+      continue;
+    }
+    if (event.has_timestamp) advance_clock(event.timestamp);
+    batch.per_shard[shard_of(event)].push_back({&event, action, resolver.detector.get(), seq});
+    ++accepted;
   }
-  if (event.has_timestamp) advance_clock(event.timestamp);
-  Shard& shard = *shards_[shard_of(event)];
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.table->process(event, action, resolver.detector.get(),
-                         seq_.fetch_add(1, std::memory_order_relaxed), out);
-    const std::size_t s = shard_of(event);
+
+  // Lock every touched shard, always in index order (as swap_model does,
+  // so the two cannot deadlock), stage each one, score all their staged
+  // steps as one fused step, then commit and group-commit each WAL.
+  batch.tables.clear();
+  struct Unlock {  // releases the shard locks on every exit path
+    std::vector<std::unique_lock<std::mutex>>& locks;
+    ~Unlock() { locks.clear(); }
+  } unlock{batch.locks};
+  std::size_t scored = 0;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    if (batch.per_shard[s].empty()) continue;
+    batch.locks.emplace_back(shards_[s]->mutex);
+    SessionShard& table = *shards_[s]->table;
+    scored += table.stage(batch.per_shard[s], out);
+    batch.tables.push_back(&table);
+  }
+  SessionShard::observe_staged(batch.tables);
+  for (std::size_t s = 0, t = 0; s < shards_.size(); ++s) {
+    if (batch.per_shard[s].empty()) continue;
+    scored += batch.tables[t++]->commit(out);
     if (s < wals_.size() && wals_[s] != nullptr) wals_[s]->flush();
   }
-  events_since_checkpoint_.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  batch.locks.clear();  // before the sort: other threads may score meanwhile
+  events_since_checkpoint_.fetch_add(accepted, std::memory_order_relaxed);
+
+  // Shard order is not arrival order: restore it by seq. Stable, so an
+  // eviction report stays ahead of the step of the event that caused it.
+  std::stable_sort(out.begin() + static_cast<std::ptrdiff_t>(base), out.end(),
+                   [](const OutputRecord& a, const OutputRecord& b) { return a.seq < b.seq; });
+  if (record) SessionShard::record_step_share(timer.seconds(), scored);
+  return submitted;
+}
+
+bool ScoringServer::submit_sync(const Event& event, std::vector<OutputRecord>& out) {
+  return submit_batch(std::span<const Event>(&event, 1), out).rejected == 0;
 }
 
 std::size_t ScoringServer::active_sessions() const {
@@ -527,7 +581,7 @@ ScoringServer::SwapStats ScoringServer::swap_model(ModelHandle next,
   {
     // The barrier: every shard locked (always in index order, so two
     // concurrent swaps cannot deadlock) — no event is scored while the
-    // model pointer moves. An in-flight submit_sync lands either before
+    // model pointer moves. An in-flight submit_batch lands either before
     // the barrier (scored under the old model, which its session pins)
     // or after (re-resolved / reopened under the new one).
     std::vector<std::unique_lock<std::mutex>> locks;

@@ -18,8 +18,15 @@
 //   * sweep(): retires idle sessions by *event time* TTL.
 //   * shutdown(): graceful drain — pumps the backlog, then emits an
 //     end-of-session report for every open session.
-//   * submit_sync(): latency-mode entry (TCP connections) that scores
-//     under the shard lock immediately, bypassing the batch queue.
+//   * submit_batch(): the TCP entry point. Scores a batch of events
+//     immediately, bypassing the queue: everything one epoll wakeup
+//     delivered (the threads front end passes one event). It locks the
+//     touched shards in index order, stages each one, runs one fused
+//     OnlineMonitor::observe_batch per pinned detector across all of
+//     them (the shards share the weights, so one weight pass serves
+//     every ready session), commits in arrival order, and group-commits
+//     each WAL once. With the scalar kernels the verdicts are
+//     bit-identical to scoring the events one at a time.
 #pragma once
 
 #include <atomic>
@@ -28,6 +35,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <vector>
 
 #include "core/detector.hpp"
@@ -134,8 +142,20 @@ class ScoringServer {
 
   bool wal_enabled() const { return !config_.wal_dir.empty(); }
 
-  /// Scores one event immediately under its shard's lock (TCP path).
-  /// Returns false (with an error record) when the action is invalid.
+  struct Submitted {
+    /// events[i] was tagged seq first_seq + i; every record appended for
+    /// it (error, capacity-eviction report, step) carries that seq.
+    std::uint64_t first_seq = 0;
+    std::size_t rejected = 0;  // events answered with an error record
+  };
+  /// Scores `events` now, in order, as one cross-shard fused step (TCP
+  /// path). Appends their records to `out` sorted by seq, so a caller
+  /// maps each record back to its event through first_seq. Events whose
+  /// action is invalid get an error record.
+  Submitted submit_batch(std::span<const Event> events, std::vector<OutputRecord>& out);
+
+  /// submit_batch of one event; false (with an error record) when the
+  /// action is invalid.
   bool submit_sync(const Event& event, std::vector<OutputRecord>& out);
 
   std::size_t shard_of(const Event& event) const {
@@ -237,7 +257,7 @@ class ScoringServer {
   void write_checkpoint();
 
   /// The model resolving actions for *new* traffic; swapped under
-  /// model_mutex_ (readers take it shared — enqueue/submit_sync resolve
+  /// model_mutex_ (readers take it shared — enqueue/submit_batch resolve
   /// against a stable handle without blocking each other).
   ModelHandle model_;
   mutable std::shared_mutex model_mutex_;

@@ -1,6 +1,7 @@
 #include "serve/session_table.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <sstream>
 
 #include "serve/metrics.hpp"
@@ -54,100 +55,25 @@ void SessionShard::process_batch(std::span<const PendingEvent> events,
                                  std::vector<OutputRecord>& out) {
   const bool record = metrics_enabled();
   Timer timer;
-  std::size_t scored = 0;
+  std::size_t scored = stage(events, out);
+  scored += settle(out);
+  if (record) record_step_share(timer.seconds(), scored);
+}
 
-  // Staged steps: bookkeeping (clock, last_seen, WAL, watermark) already
-  // applied in arrival order; the monitor advance is deferred so distinct
+std::size_t SessionShard::stage(std::span<const PendingEvent> events,
+                                std::vector<OutputRecord>& out) {
+  assert(staged_.empty());
+  // Staged steps: bookkeeping (clock, last_seen, WAL, watermark) applied
+  // in arrival order; the monitor advance is deferred so distinct
   // sessions' forwards fuse into one batched step per pinned detector.
   // Entry pointers are stable (node-based map) and no staged entry is
-  // ever evicted (flush runs before evict_lru).
-  struct Staged {
-    const Event* event;
-    Entry* entry;
-    int action;
-    std::uint64_t seq;
-  };
-  std::vector<Staged> staged;
-  staged.reserve(events.size());
-
-  std::vector<const core::MisuseDetector*> batch_models;
-  std::vector<core::OnlineMonitor*> batch_monitors;
-  std::vector<int> batch_actions;
-  std::vector<std::size_t> batch_index;
-  std::vector<core::OnlineMonitor::StepResult> results;
-
-  const auto flush = [&] {
-    if (staged.empty()) return;
-    const bool tracing = tracer_ != nullptr && trace_events().enabled();
-    const std::uint64_t flush_start = tracing ? trace_now_nanos() : 0;
-    results.clear();
-    results.resize(staged.size());
-    // One fused observe_batch per distinct pinned detector (almost always
-    // exactly one; more only mid-hot-swap), in first-appearance order.
-    batch_models.clear();
-    for (const Staged& s : staged) {
-      const auto* detector = s.entry->model.detector.get();
-      if (std::find(batch_models.begin(), batch_models.end(), detector) == batch_models.end()) {
-        batch_models.push_back(detector);
-      }
-    }
-    std::vector<core::OnlineMonitor::StepResult> group_results;
-    for (const auto* detector : batch_models) {
-      batch_monitors.clear();
-      batch_actions.clear();
-      batch_index.clear();
-      for (std::size_t i = 0; i < staged.size(); ++i) {
-        if (staged[i].entry->model.detector.get() != detector) continue;
-        batch_monitors.push_back(staged[i].entry->monitor.get());
-        batch_actions.push_back(staged[i].action);
-        batch_index.push_back(i);
-      }
-      group_results.assign(batch_index.size(), {});
-      core::OnlineMonitor::observe_batch(*detector, batch_monitors, batch_actions, group_results);
-      for (std::size_t j = 0; j < batch_index.size(); ++j) {
-        results[batch_index[j]] = std::move(group_results[j]);
-      }
-    }
-    // Sampled tracing: the fused batch is one timed unit, so each traced
-    // step gets an equal slice of the flush window — good enough to see
-    // the lifecycle and ordering, which is what the export is for.
-    const std::uint64_t flush_share =
-        tracing ? (trace_now_nanos() - flush_start) / staged.size() : 0;
-    // Post-processing replays arrival order, so records, observers, and
-    // the shadow scorer see exactly the per-event sequence.
-    for (std::size_t i = 0; i < staged.size(); ++i) {
-      Entry& entry = *staged[i].entry;
-      const Event& event = *staged[i].event;
-      const core::OnlineMonitor::StepResult& step = results[i];
-      if (tracing) {
-        const std::string key = session_key(event);
-        if (tracer_->sampled(key)) {
-          trace_events().record({"monitor.step", key, flush_start + i * flush_share, flush_share,
-                                 step_trace_args(event, step)});
-        }
-      }
-      if (config_.track_history) entry.actions.push_back(staged[i].action);
-      entry.acc.add(step);
-      if (config_.emit_steps) out.push_back({staged[i].seq, render_step_record(event, step)});
-      if (step_observer_) step_observer_(event, step);
-      if (shadow_) shadow_->observe(event, step);
-      entry.staged = false;
-      if (record) {
-        ServeMetrics& sm = serve_metrics();
-        sm.events.inc();
-        sm.steps.inc();
-        if (step.alarm) sm.alarms.inc();
-      }
-    }
-    scored += staged.size();
-    staged.clear();
-  };
-
+  // ever evicted (settle runs before evict_lru).
+  std::size_t scored = 0;
   for (const PendingEvent& pending : events) {
     const Event& event = *pending.event;
     int action = pending.action;
-    const std::string key = session_key(event);
-    auto it = sessions_.find(key);
+    session_key_into(key_, event.user_id, event.session_id);
+    auto it = sessions_.find(key_);
     // A session's actions are always interpreted under the model it
     // pinned at open. When the id was resolved under a different model
     // (the event raced a hot-swap), re-resolve the raw action string —
@@ -187,7 +113,7 @@ void SessionShard::process_batch(std::span<const PendingEvent> events,
       if (sessions_.size() >= config_.max_sessions) {
         // The LRU victim may have a staged step — settle it before the
         // eviction report, exactly as the one-by-one path would.
-        flush();
+        scored += settle(out);
         evict_lru(pending.seq, out);
       }
       Entry entry;
@@ -196,14 +122,14 @@ void SessionShard::process_batch(std::span<const PendingEvent> events,
       entry.model = model_;
       entry.monitor =
           std::make_unique<core::OnlineMonitor>(*entry.model.detector, config_.monitor);
-      it = sessions_.emplace(key, std::move(entry)).first;
+      it = sessions_.emplace(key_, std::move(entry)).first;
       ServeMetrics& sm = serve_metrics();
       sm.sessions_opened.inc();
       sm.sessions_active.add(1);
     } else if (it->second.staged) {
       // Second action of one session inside the batch: its first step
       // must advance the monitor before this one stages.
-      flush();
+      scored += settle(out);
     }
     Entry& entry = it->second;
     if (event.has_timestamp) clock_ = std::max(clock_, event.timestamp);
@@ -217,17 +143,123 @@ void SessionShard::process_batch(std::span<const PendingEvent> events,
     last_applied_seq_ = std::max(last_applied_seq_, pending.seq);
 
     entry.staged = true;
-    staged.push_back({&event, &entry, action, pending.seq});
+    staged_.push_back({&event, &entry, action, pending.seq});
   }
-  flush();
+  return scored;
+}
 
-  if (record && scored > 0) {
-    // The timer spans the whole batch; attribute an equal share to each
-    // scored step so the histogram's count still equals the step count.
-    ServeMetrics& sm = serve_metrics();
-    const double share = timer.seconds() / static_cast<double>(scored);
-    for (std::size_t i = 0; i < scored; ++i) sm.step_seconds.record(share);
+void SessionShard::observe_staged(std::span<SessionShard* const> shards) {
+  // Per-thread staging, reused across calls.
+  struct Rows {
+    std::vector<const core::MisuseDetector*> detectors;
+    std::vector<core::OnlineMonitor*> monitors;
+    std::vector<int> actions;
+    std::vector<core::OnlineMonitor::StepResult*> slots;
+    std::vector<core::OnlineMonitor::StepResult> results;
+  };
+  thread_local Rows rows;
+  std::size_t total = 0;
+  bool tracing = false;
+  rows.detectors.clear();
+  for (SessionShard* shard : shards) {
+    shard->results_.resize(shard->staged_.size());
+    total += shard->staged_.size();
+    tracing |= shard->tracer_ != nullptr;
+    for (const Staged& s : shard->staged_) {
+      const auto* detector = s.entry->model.detector.get();
+      if (std::find(rows.detectors.begin(), rows.detectors.end(), detector) ==
+          rows.detectors.end()) {
+        rows.detectors.push_back(detector);
+      }
+    }
   }
+  if (total == 0) return;
+  tracing = tracing && trace_events().enabled();
+  const std::uint64_t start = tracing ? trace_now_nanos() : 0;
+  // One fused observe_batch per distinct pinned detector (almost always
+  // exactly one; more only mid-hot-swap), in first-appearance order. The
+  // shards share the detector's weights, so fusing across them is what
+  // lets one weight pass serve every ready session.
+  for (const auto* detector : rows.detectors) {
+    rows.monitors.clear();
+    rows.actions.clear();
+    rows.slots.clear();
+    for (SessionShard* shard : shards) {
+      for (std::size_t i = 0; i < shard->staged_.size(); ++i) {
+        const Staged& s = shard->staged_[i];
+        if (s.entry->model.detector.get() != detector) continue;
+        rows.monitors.push_back(s.entry->monitor.get());
+        rows.actions.push_back(s.action);
+        rows.slots.push_back(&shard->results_[i]);
+      }
+    }
+    rows.results.resize(rows.monitors.size());
+    core::OnlineMonitor::observe_batch(*detector, rows.monitors, rows.actions, rows.results);
+    for (std::size_t j = 0; j < rows.slots.size(); ++j) {
+      std::swap(*rows.slots[j], rows.results[j]);
+    }
+  }
+  serve_metrics().batch_events.record(static_cast<double>(total));
+  // Sampled tracing: the fused batch is one timed unit, so each traced
+  // step gets an equal slice of the window — good enough to see the
+  // lifecycle and ordering, which is what the export is for.
+  const std::uint64_t share = tracing ? (trace_now_nanos() - start) / total : 0;
+  std::size_t offset = 0;
+  for (SessionShard* shard : shards) {
+    shard->trace_start_ = start + offset * share;
+    shard->trace_share_ = share;
+    offset += shard->staged_.size();
+  }
+}
+
+std::size_t SessionShard::commit(std::vector<OutputRecord>& out) {
+  const bool record = metrics_enabled();
+  const bool tracing = tracer_ != nullptr && trace_events().enabled();
+  assert(results_.size() == staged_.size());
+  // Post-processing replays arrival order, so records, observers, and
+  // the shadow scorer see exactly the per-event sequence.
+  for (std::size_t i = 0; i < staged_.size(); ++i) {
+    Entry& entry = *staged_[i].entry;
+    const Event& event = *staged_[i].event;
+    const core::OnlineMonitor::StepResult& step = results_[i];
+    if (tracing) {
+      const std::string key = session_key(event);
+      if (tracer_->sampled(key)) {
+        trace_events().record({"monitor.step", key, trace_start_ + i * trace_share_,
+                               trace_share_, step_trace_args(event, step)});
+      }
+    }
+    if (config_.track_history) entry.actions.push_back(staged_[i].action);
+    entry.acc.add(step);
+    if (config_.emit_steps) out.push_back({staged_[i].seq, render_step_record(event, step)});
+    if (step_observer_) step_observer_(event, step);
+    if (shadow_) shadow_->observe(event, step);
+    entry.staged = false;
+    if (record) {
+      ServeMetrics& sm = serve_metrics();
+      sm.events.inc();
+      sm.steps.inc();
+      if (step.alarm) sm.alarms.inc();
+    }
+  }
+  const std::size_t committed = staged_.size();
+  staged_.clear();
+  return committed;
+}
+
+std::size_t SessionShard::settle(std::vector<OutputRecord>& out) {
+  SessionShard* self = this;
+  observe_staged(std::span<SessionShard* const>(&self, 1));
+  return commit(out);
+}
+
+void SessionShard::record_step_share(double seconds, std::size_t scored) {
+  if (scored == 0) return;
+  // The timer spans the whole batch; attribute an equal share to each
+  // scored step so the histogram's count still equals the step count.
+  ServeMetrics& sm = serve_metrics();
+  const double share = seconds / static_cast<double>(scored);
+  for (std::size_t i = 0; i < scored; ++i) sm.step_seconds.record(share);
 }
 
 void SessionShard::finish_entry(const Entry& entry, ReportReason reason, std::uint64_t seq,

@@ -105,8 +105,32 @@ class SessionShard {
   /// process() per event — but the model forwards of distinct sessions
   /// are fused into per-detector batched steps (the inference engine's
   /// hot path). Consecutive events of the *same* session still advance
-  /// strictly in sequence: a session hit flushes the pending batch first.
+  /// strictly in sequence: a session hit settles the pending batch first.
+  /// Exactly stage() + observe_staged({this}) + commit().
   void process_batch(std::span<const PendingEvent> events, std::vector<OutputRecord>& out);
+
+  // -- Split batch (ScoringServer::submit_batch fuses across shards) -------
+
+  /// Stage half: session lookup/open, clock, WAL append and watermark in
+  /// arrival order, leaving each event's monitor step pending. A repeated
+  /// session or a capacity eviction settles (observes + commits) the
+  /// pending steps first, appending their records to `out`. Returns the
+  /// number of steps those settles committed. The events must stay alive
+  /// until commit().
+  std::size_t stage(std::span<const PendingEvent> events, std::vector<OutputRecord>& out);
+
+  /// Runs the staged steps of every shard in `shards` as one
+  /// OnlineMonitor::observe_batch per pinned detector (the shards share
+  /// the detector's weights). Callers hold every listed shard's lock.
+  static void observe_staged(std::span<SessionShard* const> shards);
+
+  /// Commit half: records, accumulators, observers and the shadow scorer
+  /// for the observed steps, in arrival order; empties the stage.
+  /// Returns the number of steps committed.
+  std::size_t commit(std::vector<OutputRecord>& out);
+
+  /// Records `scored` equal shares of `seconds` into serve.step_seconds.
+  static void record_step_share(double seconds, std::size_t scored);
 
   /// Retires sessions idle past the TTL at event time `now`; reports are
   /// emitted in key order (deterministic across runs and platforms).
@@ -191,11 +215,21 @@ class SessionShard {
     /// Resume-replay dedup: actions[0..replay_pos) already consumed.
     std::vector<int> replay_skip;
     std::size_t replay_pos = 0;
-    /// True while a step for this session sits in process_batch's staging
-    /// area (its monitor state is about to advance).
+    /// True while a step for this session sits in the shard's stage (its
+    /// monitor state is about to advance).
     bool staged = false;
   };
 
+  /// One staged step: bookkeeping applied, monitor advance pending.
+  struct Staged {
+    const Event* event;
+    Entry* entry;
+    int action;
+    std::uint64_t seq;
+  };
+
+  /// observe_staged({this}) + commit(out): settles the pending steps.
+  std::size_t settle(std::vector<OutputRecord>& out);
   void finish_entry(const Entry& entry, ReportReason reason, std::uint64_t seq,
                     std::vector<OutputRecord>& out);
   void evict_lru(std::uint64_t seq, std::vector<OutputRecord>& out);
@@ -214,6 +248,14 @@ class SessionShard {
   std::shared_ptr<SessionTraceSampler> tracer_;
   WalWriter* wal_ = nullptr;
   std::uint64_t last_applied_seq_ = 0;
+
+  // Split-batch state, reused across batches (no per-call allocation).
+  std::vector<Staged> staged_;
+  std::vector<core::OnlineMonitor::StepResult> results_;  // results_[i] for staged_[i]
+  std::string key_;  // session-key scratch
+  /// Trace window observe_staged assigned to this shard's steps.
+  std::uint64_t trace_start_ = 0;
+  std::uint64_t trace_share_ = 0;
 };
 
 }  // namespace misuse::serve

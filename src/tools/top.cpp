@@ -1,9 +1,10 @@
 // misusedet_top: console dashboard over a serve node's admin plane.
 // Polls /statusz (flat JSON) and /metrics (Prometheus text) at a fixed
 // interval and renders a refreshing view: health, model versions,
-// per-shard queue/session table, interval actions/sec, alarm rate, and
-// p50/p99 step latency computed from histogram bucket *deltas* (so the
-// percentiles describe the last interval, not the process lifetime).
+// per-shard queue/session table, interval actions/sec, alarm rate,
+// p50/p99 step latency and the mean events per fused scoring step
+// ("batch"), all computed from histogram *deltas* (so they describe the
+// last interval, not the process lifetime).
 //
 //   misusedet_top --port=PORT [--host=H] [--interval=SECONDS]
 //       [--iterations=N] [--plain] [--dump=ENDPOINT]
@@ -39,6 +40,9 @@
 
 namespace misuse::tools {
 namespace {
+
+/// serve.batch_events: events scored per fused monitor step.
+constexpr const char* kBatchEvents = "misusedet_serve_batch_events";
 
 struct HttpResponse {
   int code = 0;
@@ -231,6 +235,7 @@ void render(const std::string& host, std::uint16_t port, const std::vector<JsonF
         << "   drops/sec " << fmt(delta.rate("misusedet_serve_dropped_events_total"))
         << "   p50 " << fmt_latency(delta.histogram_quantile("misusedet_serve_step_seconds", 0.5))
         << "   p99 " << fmt_latency(delta.histogram_quantile("misusedet_serve_step_seconds", 0.99))
+        << "   batch " << fmt(delta.histogram_mean(kBatchEvents), 1)
         << "   (over " << fmt(delta.seconds()) << "s)\n";
   } else {
     out << "collecting a second sample for rates...\n";
@@ -354,22 +359,25 @@ void render_cluster(const std::vector<ClusterTarget>& targets,
   for (const NodeSample& s : samples) up += s.reachable ? 1 : 0;
   out << "misusedet_top — cluster of " << targets.size() << " node(s), " << up << " up\n";
 
-  Table table({"node", "health", "sessions", "actions/sec", "alarms/sec", "p50", "p99"});
+  Table table(
+      {"node", "health", "sessions", "actions/sec", "alarms/sec", "p50", "p99", "batch"});
   for (std::size_t n = 0; n < targets.size(); ++n) {
     const NodeSample& sample = samples[n];
     std::string rate = "-";
     std::string alarms = "-";
     std::string p50 = "-";
     std::string p99 = "-";
+    std::string batch = "-";
     if (sample.reachable && node_before[n]) {
       MetricsDelta delta(*node_before[n], sample.snapshot);
       rate = fmt(delta.rate("misusedet_serve_steps_total"));
       alarms = fmt(delta.rate("misusedet_serve_alarms_total"));
       p50 = fmt_latency(delta.histogram_quantile("misusedet_serve_step_seconds", 0.5));
       p99 = fmt_latency(delta.histogram_quantile("misusedet_serve_step_seconds", 0.99));
+      batch = fmt(delta.histogram_mean(kBatchEvents), 1);
     }
     table.add_row({targets[n].label(), sample.health, fmt(sample.sessions, 0), rate, alarms,
-                   p50, p99});
+                   p50, p99, batch});
   }
   double total_sessions = 0.0;
   for (const NodeSample& s : samples) total_sessions += s.sessions;
@@ -379,10 +387,11 @@ void render_cluster(const std::vector<ClusterTarget>& targets,
                    fmt(delta.rate("misusedet_serve_steps_total")),
                    fmt(delta.rate("misusedet_serve_alarms_total")),
                    fmt_latency(delta.histogram_quantile("misusedet_serve_step_seconds", 0.5)),
-                   fmt_latency(delta.histogram_quantile("misusedet_serve_step_seconds", 0.99))});
+                   fmt_latency(delta.histogram_quantile("misusedet_serve_step_seconds", 0.99)),
+                   fmt(delta.histogram_mean(kBatchEvents), 1)});
   } else {
     table.add_row({"TOTAL", up == targets.size() ? "ok" : "degraded", fmt(total_sessions, 0),
-                   "-", "-", "-", "-"});
+                   "-", "-", "-", "-", "-"});
   }
   table.print(out);
   if (!total_before) out << "collecting a second sample for rates...\n";

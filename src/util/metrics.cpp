@@ -383,6 +383,14 @@ double MetricsDelta::histogram_count_delta(const std::string& name) const {
   return std::max(0.0, it->second.count - before);
 }
 
+double MetricsDelta::histogram_mean(const std::string& name) const {
+  const double count = histogram_count_delta(name);
+  if (count <= 0.0) return 0.0;
+  const auto prev = earlier_.histograms.find(name);
+  const double before = prev == earlier_.histograms.end() ? 0.0 : prev->second.sum;
+  return std::max(0.0, later_.histograms.at(name).sum - before) / count;
+}
+
 double MetricsDelta::histogram_quantile(const std::string& name, double q) const {
   q = std::clamp(q, 0.0, 1.0);
   const auto it = later_.histograms.find(name);

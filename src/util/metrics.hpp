@@ -160,6 +160,9 @@ class MetricsDelta {
   /// Latest gauge value; 0 for unknown names.
   double gauge(const std::string& name) const;
   double histogram_count_delta(const std::string& name) const;
+  /// Mean of the values recorded in the interval (sum delta / count
+  /// delta); 0 when nothing was recorded.
+  double histogram_mean(const std::string& name) const;
   /// Interval quantile (q in [0, 1]) interpolated from bucket deltas;
   /// 0 when nothing was recorded in the interval.
   double histogram_quantile(const std::string& name, double q) const;

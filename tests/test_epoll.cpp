@@ -13,6 +13,9 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <span>
 #include <csignal>
 #include <cstring>
 #include <string>
@@ -36,14 +39,15 @@ class EpollFixture : public ::testing::Test {
 
   void start(EpollConfig config = {}, EpollHandlers handlers = {}) {
     config.host = "127.0.0.1";
-    if (!handlers.on_line) {
-      handlers.on_line = [this](std::uint64_t conn, std::string_view line, std::string& replies) {
-        last_conn_.store(conn, std::memory_order_relaxed);
-        lines_seen_.fetch_add(1, std::memory_order_relaxed);
-        replies.append("ack:");
-        replies.append(line);
-        replies.push_back('\n');
-      };
+    if (!handlers.on_lines) {
+      handlers.on_lines = each_line(
+          [this](std::uint64_t conn, std::string_view line, std::string& replies) {
+            last_conn_.store(conn, std::memory_order_relaxed);
+            lines_seen_.fetch_add(1, std::memory_order_relaxed);
+            replies.append("ack:");
+            replies.append(line);
+            replies.push_back('\n');
+          });
     }
     if (!handlers.on_close) {
       handlers.on_close = [this](std::uint64_t) {
@@ -145,10 +149,10 @@ TEST_F(EpollFixture, SlowConsumerPastOutputCapIsDisconnected) {
   const std::string big_reply(64 << 10, 'y');
   // By value: the loop thread outlives this scope (TearDown joins it),
   // so a by-reference capture would race the local's destruction.
-  handlers.on_line = [big_reply](std::uint64_t, std::string_view, std::string& replies) {
+  handlers.on_lines = each_line([big_reply](std::uint64_t, std::string_view, std::string& replies) {
     replies.append(big_reply);
     replies.push_back('\n');
-  };
+  });
   start(config, std::move(handlers));
   TcpStream client = connect();
   // Never read; each request provokes a 64KB reply, so the backlog blows
@@ -164,7 +168,7 @@ TEST_F(EpollFixture, SlowConsumerPastOutputCapIsDisconnected) {
 }
 
 TEST_F(EpollFixture, PostedBacklogPastOutputCapIsDisconnected) {
-  // Same slow-consumer contract as on_line replies, but through post():
+  // Same slow-consumer contract as on_lines replies, but through post():
   // in the router every verdict reaches the client via post, so a
   // client that stops reading must still hit the cap.
   EpollConfig config;
@@ -278,6 +282,80 @@ TEST_F(EpollFixture, TwoConnectionsInterleaveIndependently) {
     ASSERT_TRUE(reader_a.next(line));
     EXPECT_EQ(line, "ack:a-" + std::to_string(round));
   }
+}
+
+// Lines that two connections deliver while the loop is busy reach the
+// handler together, in one on_lines call, and every connection gets its
+// replies back in its own line order — a half-closed peer's final
+// unterminated line included.
+TEST_F(EpollFixture, OneWakeupBatchesLinesAcrossConnections) {
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool release = false;
+  std::vector<std::vector<std::pair<std::uint64_t, std::string>>> calls;
+  EpollHandlers handlers;
+  handlers.on_lines = [&](std::span<const EpollLine> lines, std::span<std::string> replies) {
+    std::unique_lock<std::mutex> lock(mutex);
+    auto& call = calls.emplace_back();
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      call.emplace_back(lines[i].conn, std::string(lines[i].text));
+      // Two reply lines per input line: order must hold within a line too.
+      replies[i] += "ack:" + std::string(lines[i].text) + "\n";
+      replies[i] += "end:" + std::string(lines[i].text) + "\n";
+    }
+    cv.notify_all();
+    // The first call parks the loop until both clients have written
+    // (bounded, so a failed assertion cannot hang TearDown's join).
+    cv.wait_for(lock, 5s, [&] { return release; });
+  };
+  start({}, std::move(handlers));
+
+  TcpStream a = connect();
+  TcpStream b = connect();
+  a.io() << "warmup\n";
+  a.io().flush();
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(cv.wait_for(lock, 5s, [&] { return !calls.empty(); }));
+  }
+  a.io() << "a1\na2\n";
+  a.io().flush();
+  b.io() << "b1\nb2\nb-tail";
+  b.io().flush();
+  b.shutdown_write();
+  std::this_thread::sleep_for(100ms);  // both sockets' bytes land in the kernel
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    release = true;
+  }
+  cv.notify_all();
+
+  LineReader reader_a(a.io());
+  LineReader reader_b(b.io());
+  std::string line;
+  for (const char* want : {"ack:warmup", "end:warmup", "ack:a1", "end:a1", "ack:a2", "end:a2"}) {
+    ASSERT_TRUE(reader_a.next(line));
+    EXPECT_EQ(line, want);
+  }
+  for (const char* want : {"ack:b1", "end:b1", "ack:b2", "end:b2", "ack:b-tail", "end:b-tail"}) {
+    ASSERT_TRUE(reader_b.next(line));
+    EXPECT_EQ(line, want);
+  }
+  EXPECT_FALSE(reader_b.next(line));  // half-closed peer: closed after its replies
+
+  std::lock_guard<std::mutex> lock(mutex);
+  ASSERT_EQ(calls.size(), 2u) << "the second wakeup must carry both connections' lines";
+  const auto& batch = calls[1];
+  ASSERT_EQ(batch.size(), 5u);
+  const std::uint64_t conn_a = calls[0].front().first;  // the warmup line's connection
+  std::vector<std::string> from_a;
+  std::vector<std::string> from_b;
+  for (const auto& [conn, text] : batch) {
+    (conn == conn_a ? from_a : from_b).push_back(text);
+  }
+  EXPECT_EQ(from_a, (std::vector<std::string>{"a1", "a2"}));
+  EXPECT_EQ(from_b, (std::vector<std::string>{"b1", "b2", "b-tail"}));
+  EXPECT_NE(batch.front().first, batch.back().first) << "one connection's lines, then the other's";
 }
 
 TEST_F(EpollFixture, StopFlushesAndClosesEverything) {

@@ -27,6 +27,7 @@
 #include "synth/portal.hpp"
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
+#include "temp_dir.hpp"
 
 namespace misuse::serve {
 namespace {
@@ -118,7 +119,7 @@ TEST(GoldenServe, ScalarOutputByteIdenticalToCommittedGolden) {
   ASSERT_TRUE(std::filesystem::exists(kTracePath))
       << kTracePath << " missing — regenerate with MISUSEDET_REGEN_GOLDEN=1";
 
-  const std::string out_path = ::testing::TempDir() + "misusedet_golden_out.ndjson";
+  const std::string out_path = testing_support::test_temp_path("misusedet_golden_out.ndjson");
   const std::string actual = run_serve_scalar(out_path);
   ASSERT_FALSE(actual.empty()) << "serve produced no output";
 
@@ -154,8 +155,8 @@ TEST(GoldenServe, ScalarOutputStableAcrossRuns) {
   if (!std::filesystem::exists(kDetectorPath) || !std::filesystem::exists(kTracePath)) {
     GTEST_SKIP() << "goldens not generated yet";
   }
-  const std::string first = run_serve_scalar(::testing::TempDir() + "misusedet_golden_a.ndjson");
-  const std::string second = run_serve_scalar(::testing::TempDir() + "misusedet_golden_b.ndjson");
+  const std::string first = run_serve_scalar(testing_support::test_temp_path("misusedet_golden_a.ndjson"));
+  const std::string second = run_serve_scalar(testing_support::test_temp_path("misusedet_golden_b.ndjson"));
   EXPECT_EQ(first, second);
 }
 

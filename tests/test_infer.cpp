@@ -3,9 +3,11 @@
 // The engine's contracts, in decreasing strictness:
 //   * scalar kernels — BIT-identical to the training-grade reference
 //     forward (NextActionModel::step_into), one-row and batched alike
-//     (the scalar table has no fused batch kernels, so batching loops
-//     the one-row kernels). Every determinism guarantee in the repo
-//     (WAL replay, hot swap, server-vs-offline) leans on this.
+//     (the scalar batch kernels reuse weight rows across the batch but
+//     keep each row's operation sequence, and deferred heads recovered
+//     by finish_probs equal the eager tail). Every determinism
+//     guarantee in the repo (WAL replay, hot swap, server-vs-offline,
+//     cross-session batches) leans on this.
 //   * avx2 kernels — ULP-bounded against scalar per step (vectorized
 //     exp approximation, FMA re-association); the fused batch kernels
 //     (register-blocked broadcast-FMA) must sit in the same envelope.
@@ -169,6 +171,68 @@ TEST(InferScalar, BatchBitIdenticalToSequential) {
       ASSERT_TRUE(bit_equal(seq_probs, bat_probs[i])) << "step " << t << " session " << i;
       ASSERT_TRUE(bit_equal(seq[i].h, bat[i].h));
       ASSERT_TRUE(bit_equal(seq[i].c, bat[i].c));
+    }
+  }
+}
+
+// The fused scalar batch kernels with deferred heads, against eager
+// one-row step(): every batch size the server sees in practice (1, a
+// few, a full wakeup), rows fresh (all-zero h, the zero-skip path) and
+// warm side by side, and kPadToken inputs. Bit-identity on h, c and the
+// distribution recovered by finish_probs.
+TEST(InferScalar, FusedDeferredBatchBitIdenticalToEagerStep) {
+  ModeGuard guard;
+  set_infer_mode(InferMode::kScalar);
+  constexpr std::size_t kVocab = 37;
+  const NextActionModel model = make_model(kVocab, 48, 23);
+  const auto engine = LstmInferEngine::build(model);
+  ASSERT_NE(engine, nullptr);
+
+  for (const std::size_t n : {1u, 2u, 3u, 7u, 33u}) {
+    std::vector<EngineState> eager(n, engine->make_state());
+    EngineScratch scratch;
+    std::vector<float> probs;
+    // Every third row starts fresh; the rest are warmed by a few steps.
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i % 3 == 0) continue;
+      for (const int a : random_actions(1 + i % 5, kVocab, 7000 + i)) {
+        engine->step(eager[i], a, probs, scratch);
+      }
+    }
+    std::vector<EngineState> fused(eager);
+    std::vector<EngineState*> state_ptrs(n);
+    std::vector<std::vector<float>> fused_probs(n);
+    std::vector<std::vector<float>*> prob_ptrs(n);
+    std::vector<int> actions(n);
+    std::vector<float> eager_probs;
+    std::vector<float> finished;
+    for (std::size_t t = 0; t < 12; ++t) {
+      for (std::size_t i = 0; i < n; ++i) {
+        if ((i + t) % 11 == 10) {  // a row restarts mid-run: fresh again
+          eager[i].reset();
+          fused[i].reset();
+        }
+        actions[i] = (i + t) % 5 == 0 ? kPadToken
+                                      : random_actions(1, kVocab, 31 * t + i).front();
+        state_ptrs[i] = &fused[i];
+        prob_ptrs[i] = &fused_probs[i];
+      }
+      const bool deferred_step = t % 2 == 0;
+      const bool deferred = engine->step_batch(state_ptrs, actions, prob_ptrs, scratch,
+                                               /*use_quant=*/false, deferred_step);
+      ASSERT_EQ(deferred, deferred_step) << "n=" << n;
+      for (std::size_t i = 0; i < n; ++i) {
+        engine->step(eager[i], actions[i], eager_probs, scratch);
+        ASSERT_TRUE(bit_equal(eager[i].h, fused[i].h)) << "n=" << n << " t=" << t << " i=" << i;
+        ASSERT_TRUE(bit_equal(eager[i].c, fused[i].c)) << "n=" << n << " t=" << t << " i=" << i;
+        if (deferred) {
+          engine->finish_probs(fused[i], finished);
+          ASSERT_TRUE(bit_equal(eager_probs, finished)) << "n=" << n << " t=" << t << " i=" << i;
+        } else {
+          ASSERT_TRUE(bit_equal(eager_probs, fused_probs[i]))
+              << "n=" << n << " t=" << t << " i=" << i;
+        }
+      }
     }
   }
 }

@@ -23,6 +23,7 @@
 #include "util/failpoint.hpp"
 #include "util/fsio.hpp"
 #include "util/serialize.hpp"
+#include "temp_dir.hpp"
 
 namespace misuse::learn {
 namespace {
@@ -50,7 +51,7 @@ class LearnFixture : public ::testing::Test {
     dc.lm.epochs = 1;
     dc.lm.patience = 0;
     detector_ = new core::MisuseDetector(core::MisuseDetector::train(*store_, dc));
-    archive_path_ = new std::string(::testing::TempDir() + "misusedet_learn_seed.bin");
+    archive_path_ = new std::string(testing_support::test_temp_path("misusedet_learn_seed.bin"));
     std::ofstream out(*archive_path_, std::ios::binary | std::ios::trunc);
     BinaryWriter writer(out);
     detector_->save(writer);
@@ -69,7 +70,7 @@ class LearnFixture : public ::testing::Test {
   static const std::string& archive() { return *archive_path_; }
 
   static std::string fresh_root(const std::string& name) {
-    const std::string root = ::testing::TempDir() + "misusedet_learn_" + name;
+    const std::string root = testing_support::test_temp_path("misusedet_learn_" + name);
     fs::remove_all(root);
     return root;
   }

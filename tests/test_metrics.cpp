@@ -501,6 +501,19 @@ TEST(MetricsDeltaTest, OverflowGrowthReportsLastFiniteBound) {
   EXPECT_DOUBLE_EQ(delta.histogram_quantile("lat", 0.99), 1.0);
 }
 
+TEST(MetricsDeltaTest, IntervalMeanUsesSumAndCountDeltas) {
+  MetricsSnapshot earlier;
+  MetricsSnapshot later;
+  earlier.histograms["batch"].count = 10.0;
+  earlier.histograms["batch"].sum = 10.0;  // lifetime: batches of one
+  later.histograms["batch"].count = 14.0;
+  later.histograms["batch"].sum = 42.0;  // interval: 4 batches, 32 events
+  const MetricsDelta delta(earlier, later);
+  EXPECT_DOUBLE_EQ(delta.histogram_mean("batch"), 8.0);
+  EXPECT_DOUBLE_EQ(MetricsDelta(later, later).histogram_mean("batch"), 0.0);
+  EXPECT_DOUBLE_EQ(delta.histogram_mean("never_seen"), 0.0);
+}
+
 TEST(MetricsDeltaTest, EmptyIntervalQuantileIsZero) {
   const MetricsSnapshot snap = metrics().snapshot();
   const MetricsDelta delta(snap, snap);

@@ -19,6 +19,7 @@
 #include "util/failpoint.hpp"
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
+#include "temp_dir.hpp"
 
 namespace misuse::registry {
 namespace {
@@ -110,7 +111,7 @@ class RegistryFixture : public ::testing::Test {
   }
 
   static std::string save_archive(const core::MisuseDetector& detector, const std::string& name) {
-    const std::string path = ::testing::TempDir() + "misusedet_" + name;
+    const std::string path = testing_support::test_temp_path("misusedet_" + name);
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     BinaryWriter writer(out);
     detector.save(writer);
@@ -119,7 +120,7 @@ class RegistryFixture : public ::testing::Test {
 
   /// A fresh, empty registry root per test.
   static std::string fresh_root(const std::string& name) {
-    const std::string root = ::testing::TempDir() + "misusedet_registry_" + name;
+    const std::string root = testing_support::test_temp_path("misusedet_registry_" + name);
     fs::remove_all(root);
     return root;
   }

@@ -328,6 +328,58 @@ TEST_F(ServeFixture, SubmitSyncMatchesOfflineMonitor) {
   }
 }
 
+// submit_batch (the epoll path: one fused step across shards per call)
+// answers every event with exactly the records per-event submission
+// gives it — step lines, an unknown-action error, and capacity-eviction
+// reports — and each record's seq names its event.
+TEST_F(ServeFixture, SubmitBatchMatchesPerEventSubmission) {
+  auto events = interleave(pick_sessions(8));
+  ASSERT_GT(events.size(), 40u);
+  Event unknown = events[3];
+  unknown.action = "no_such_action";
+  events.insert(events.begin() + 7, unknown);
+  ServeConfig config;
+  config.shards = 4;
+  config.max_sessions = 6;  // 2 per shard: opening sessions evicts others
+  config.idle_ttl_seconds = 1e9;
+
+  ScoringServer one_by_one(*detector_, config);
+  std::vector<std::vector<std::string>> want(events.size());
+  std::vector<OutputRecord> out;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    one_by_one.submit_sync(events[i], out);
+    for (const auto& r : out) want[i].push_back(r.line);
+    out.clear();
+  }
+
+  ScoringServer batched(*detector_, config);
+  std::vector<std::vector<std::string>> got(events.size());
+  std::size_t evictions = 0;
+  for (std::size_t begin = 0, size = 1; begin < events.size(); begin += size, size += 4) {
+    const std::size_t n = std::min(size, events.size() - begin);
+    const auto submitted =
+        batched.submit_batch(std::span<const Event>(events.data() + begin, n), out);
+    for (const auto& r : out) {
+      ASSERT_GE(r.seq, submitted.first_seq);
+      ASSERT_LT(r.seq, submitted.first_seq + n);
+      got[begin + (r.seq - submitted.first_seq)].push_back(r.line);
+      evictions += r.line.find("capacity_eviction") != std::string::npos ? 1 : 0;
+    }
+    out.clear();
+  }
+  for (std::size_t i = 0; i < events.size(); ++i) EXPECT_EQ(got[i], want[i]) << "event " << i;
+  EXPECT_EQ(want[7].size(), 1u);
+  EXPECT_NE(want[7].front().find("unknown action"), std::string::npos);
+  EXPECT_GT(evictions, 0u);
+
+  std::vector<OutputRecord> want_tail;
+  std::vector<OutputRecord> got_tail;
+  one_by_one.shutdown(want_tail);
+  batched.shutdown(got_tail);
+  ASSERT_EQ(got_tail.size(), want_tail.size());
+  for (std::size_t i = 0; i < got_tail.size(); ++i) EXPECT_EQ(got_tail[i].line, want_tail[i].line);
+}
+
 TEST_F(ServeFixture, OutputOrderFollowsArrivalOrder) {
   const auto sessions = pick_sessions(6);
   const auto events = interleave(sessions);

@@ -24,12 +24,13 @@
 #include "synth/portal.hpp"
 #include "util/line_io.hpp"
 #include "util/socket.hpp"
+#include "temp_dir.hpp"
 
 namespace misuse::serve {
 namespace {
 
 std::string scratch_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "misusedet_proc_" + name;
+  const std::string dir = testing_support::test_temp_path("misusedet_proc_" + name);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
@@ -180,6 +181,7 @@ class ServeProcessFixture : public ::testing::Test {
 
     // An interleaved six-session NDJSON trace over the trained vocabulary.
     trace_ = new std::vector<std::string>();
+    trace_sessions_ = new std::vector<std::size_t>();
     actions_ = new std::vector<std::string>();
     std::vector<std::vector<int>> sessions;
     for (std::size_t i = 0; i < store.size() && sessions.size() < 6; ++i) {
@@ -196,8 +198,12 @@ class ServeProcessFixture : public ::testing::Test {
         if (cursor[s] >= sessions[s].size()) continue;
         const std::string action = detector.vocab().name(sessions[s][cursor[s]]);
         actions_->push_back(action);
-        trace_->push_back(event_line("u" + std::to_string(s % 3), "s" + std::to_string(s),
-                                     action, t));
+        trace_sessions_->push_back(s);
+        std::string user = "u";
+        user += std::to_string(s % 3);
+        std::string session = "s";
+        session += std::to_string(s);
+        trace_->push_back(event_line(user, session, action, t));
         t += 1.0;
         ++cursor[s];
         progressed = true;
@@ -207,9 +213,11 @@ class ServeProcessFixture : public ::testing::Test {
   static void TearDownTestSuite() {
     delete model_path_;
     delete trace_;
+    delete trace_sessions_;
     delete actions_;
     model_path_ = nullptr;
     trace_ = nullptr;
+    trace_sessions_ = nullptr;
     actions_ = nullptr;
   }
 
@@ -269,11 +277,13 @@ class ServeProcessFixture : public ::testing::Test {
 
   static std::string* model_path_;
   static std::vector<std::string>* trace_;
+  static std::vector<std::size_t>* trace_sessions_;  // session index of each trace line
   static std::vector<std::string>* actions_;
 };
 
 std::string* ServeProcessFixture::model_path_ = nullptr;
 std::vector<std::string>* ServeProcessFixture::trace_ = nullptr;
+std::vector<std::size_t>* ServeProcessFixture::trace_sessions_ = nullptr;
 std::vector<std::string>* ServeProcessFixture::actions_ = nullptr;
 
 // SIGTERM with multiple TCP connections mid-session: every open session
@@ -333,9 +343,14 @@ TEST_F(ServeProcessFixture, SigtermDrainsOpenTcpSessions) {
 // Differential lockdown of the epoll front end: the identical trace,
 // split across two TCP connections in lockstep, must produce byte-equal
 // per-connection verdict streams and byte-equal shutdown session
-// reports under --io=threads and --io=epoll. The epoll loop feeds the
-// same ScoringServer::submit_sync the blocking path does, so any
-// divergence is a framing or routing bug in the front end.
+// reports under --io=threads and --io=epoll. Both front ends feed
+// ScoringServer::submit_batch (threads: one event per call; epoll: all
+// lines of a wakeup), so any divergence is a framing, batching or reply
+// routing bug in the front end. The pipelined leg writes each
+// connection's whole stream at once (sessions pinned to a connection,
+// so several events of one session share a wakeup, plus a malformed
+// line and an unknown action) and half-closes; its replies must equal
+// the threads front end's lockstep replies byte for byte.
 TEST_F(ServeProcessFixture, EpollFrontEndMatchesThreadsByteForByte) {
   struct TcpRun {
     std::vector<std::vector<std::string>> per_connection;
@@ -382,6 +397,76 @@ TEST_F(ServeProcessFixture, EpollFrontEndMatchesThreadsByteForByte) {
   }
   ASSERT_EQ(epoll.reports.size(), 6u) << "one shutdown report per session";
   EXPECT_EQ(threads.reports, epoll.reports);
+
+  // Session-pinned stream per connection, with a malformed line and an
+  // unknown action in connection 0's middle.
+  std::vector<std::vector<std::string>> streams(2);
+  for (std::size_t i = 0; i < trace_->size(); ++i) {
+    streams[(*trace_sessions_)[i] % 2].push_back((*trace_)[i]);
+  }
+  const auto mid = static_cast<std::ptrdiff_t>(streams[0].size() / 2);
+  streams[0].insert(streams[0].begin() + mid,
+                    {R"({"user_id":"u0","session_id":)",
+                     event_line("u0", "s-unknown", "no_such_action", 1.5)});
+  const auto run_pinned = [&](const std::string& io_mode, bool pipelined) {
+    TcpRun result;
+    ServeProcess proc({"--model=" + *model_path_, "--listen=0", "--io=" + io_mode});
+    const std::uint16_t port = proc.wait_for_port();
+    EXPECT_GT(port, 0);
+    std::vector<TcpStream> clients;
+    for (std::size_t c = 0; c < streams.size(); ++c) {
+      clients.push_back(tcp_connect("127.0.0.1", port));
+    }
+    result.per_connection.resize(clients.size());
+    if (pipelined) {
+      for (std::size_t c = 0; c < clients.size(); ++c) {
+        std::string blob;
+        for (const auto& line : streams[c]) {
+          blob += line;
+          blob += '\n';
+        }
+        clients[c].io() << blob;
+        clients[c].io().flush();
+        clients[c].shutdown_write();
+      }
+      for (std::size_t c = 0; c < clients.size(); ++c) {
+        result.per_connection[c] = drain(clients[c].io());
+      }
+    } else {
+      for (std::size_t c = 0; c < clients.size(); ++c) {
+        LineReader reader(clients[c].io());
+        for (const auto& line : streams[c]) {
+          clients[c].io() << line << "\n";
+          clients[c].io().flush();
+          std::string verdict;
+          if (!reader.next(verdict)) {
+            ADD_FAILURE() << io_mode << ": no verdict for " << line;
+            break;
+          }
+          result.per_connection[c].push_back(verdict);
+        }
+      }
+      for (auto& client : clients) client.shutdown_write();
+    }
+    proc.signal(SIGTERM);
+    const auto lines = drain(proc.out());
+    const int status = proc.wait();
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << io_mode;
+    result.reports = session_reports(lines);
+    return result;
+  };
+  const TcpRun lockstep = run_pinned("threads", false);
+  const TcpRun pipelined = run_pinned("epoll", true);
+  for (std::size_t c = 0; c < streams.size(); ++c) {
+    ASSERT_EQ(lockstep.per_connection[c].size(), streams[c].size()) << "connection " << c;
+    EXPECT_EQ(lockstep.per_connection[c], pipelined.per_connection[c]) << "connection " << c;
+  }
+  EXPECT_NE(lockstep.per_connection[0][static_cast<std::size_t>(mid)].find("\"error\""),
+            std::string::npos);
+  EXPECT_NE(lockstep.per_connection[0][static_cast<std::size_t>(mid) + 1].find("unknown action"),
+            std::string::npos);
+  ASSERT_EQ(pipelined.reports.size(), 6u) << "one shutdown report per session";
+  EXPECT_EQ(lockstep.reports, pipelined.reports);
 }
 
 // kill -9 mid-replay, restart on the same --wal-dir with --resume-replay,

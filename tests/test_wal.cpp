@@ -18,13 +18,14 @@
 #include "serve/server.hpp"
 #include "synth/portal.hpp"
 #include "util/failpoint.hpp"
+#include "temp_dir.hpp"
 
 namespace misuse::serve {
 namespace {
 
 /// Fresh per-test scratch directory under the gtest temp root.
 std::string scratch_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "misusedet_wal_" + name;
+  const std::string dir = testing_support::test_temp_path("misusedet_wal_" + name);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
