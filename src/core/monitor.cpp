@@ -24,8 +24,7 @@ bool TrendDetector::push(double value) {
   return previous > 0.0 && recent < previous * (1.0 - drop_);
 }
 
-OnlineMonitor::OnlineMonitor(const MisuseDetector& detector, const MonitorConfig& config,
-                             MisuseDetector::ScoringPrecision precision)
+OnlineMonitor::OnlineMonitor(const MisuseDetector& detector, const MonitorConfig& config)
     : detector_(detector),
       config_(config),
       assignment_(detector.assigner().start_online()),
@@ -34,7 +33,7 @@ OnlineMonitor::OnlineMonitor(const MisuseDetector& detector, const MonitorConfig
   next_distributions_.resize(detector.cluster_count());
   dist_ready_.assign(detector.cluster_count(), 1);
   for (std::size_t c = 0; c < detector.cluster_count(); ++c) {
-    states_.push_back(detector.make_cluster_state(c, precision));
+    states_.push_back(detector.make_cluster_state(c));
   }
   monitor_metrics().sessions.inc();
 }

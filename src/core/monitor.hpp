@@ -54,13 +54,7 @@ class TrendDetector {
 
 class OnlineMonitor {
  public:
-  /// `precision` selects the numeric mode of this stream's cluster
-  /// states: kDefault scores quantized clusters with their quantized
-  /// weights; kFloat forces full precision (the baseline side of the
-  /// quantization gate, core/quant_gate.hpp).
-  OnlineMonitor(const MisuseDetector& detector, const MonitorConfig& config,
-                MisuseDetector::ScoringPrecision precision =
-                    MisuseDetector::ScoringPrecision::kDefault);
+  OnlineMonitor(const MisuseDetector& detector, const MonitorConfig& config);
 
   /// One of the actions the voted model expected at this step — surfaced
   /// on alarms so the operator sees *what normal would have looked like*

@@ -14,14 +14,7 @@ InferMode env_default_mode() {
   if (env != nullptr) {
     if (const auto mode = parse_infer_mode(env)) return *mode;
   }
-  return InferMode::kAuto;
-}
-
-bool env_default_quant() {
-  const char* env = std::getenv("MISUSEDET_QUANT");
-  if (env == nullptr) return true;
-  const std::string_view v(env);
-  return !(v == "off" || v == "0" || v == "false");
+  return InferMode::kScalar;
 }
 
 std::atomic<InferMode>& mode_slot() {
@@ -29,15 +22,9 @@ std::atomic<InferMode>& mode_slot() {
   return slot;
 }
 
-std::atomic<bool>& quant_slot() {
-  static std::atomic<bool> slot{env_default_quant()};
-  return slot;
-}
-
 bool cpu_has_avx2() {
 #if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
-         __builtin_cpu_supports("f16c");
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 #else
   return false;
 #endif
@@ -46,19 +33,15 @@ bool cpu_has_avx2() {
 }  // namespace
 
 std::optional<InferMode> parse_infer_mode(std::string_view name) {
-  if (name == "auto") return InferMode::kAuto;
   if (name == "scalar") return InferMode::kScalar;
   if (name == "avx2") return InferMode::kAvx2;
-  if (name == "reference") return InferMode::kReference;
   return std::nullopt;
 }
 
 const char* infer_mode_name(InferMode mode) {
   switch (mode) {
-    case InferMode::kAuto: return "auto";
     case InferMode::kScalar: return "scalar";
     case InferMode::kAvx2: return "avx2";
-    case InferMode::kReference: return "reference";
   }
   return "?";
 }
@@ -70,22 +53,12 @@ void set_infer_mode(InferMode mode) { mode_slot().store(mode, std::memory_order_
 InferMode effective_infer_mode() {
   const InferMode mode = infer_mode();
   if (mode == InferMode::kAvx2 && !avx2_supported()) return InferMode::kScalar;
-  if (mode != InferMode::kAuto) return mode;
-  // auto = the fastest mode that keeps scoring bit-identical to the
-  // reference forward. That is the scalar engine: the AVX2 kernels use
-  // vectorized exp/tanh approximations (ULP-close, not equal), so they
-  // stay strictly opt-in (--infer=avx2 / MISUSEDET_INFER=avx2) for
-  // deployments that trade replay-exactness for throughput.
-  return InferMode::kScalar;
+  return mode;
 }
 
 bool avx2_supported() {
   static const bool supported = avx2_kernels() != nullptr && cpu_has_avx2();
   return supported;
 }
-
-bool quant_enabled() { return quant_slot().load(std::memory_order_relaxed); }
-
-void set_quant_enabled(bool on) { quant_slot().store(on, std::memory_order_relaxed); }
 
 }  // namespace misuse::nn::infer

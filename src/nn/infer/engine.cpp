@@ -59,7 +59,7 @@ void scalar_gates(const PackedLstm& w, const float* h, int token, float* gates) 
 // one-row bitwise, row by row.
 constexpr std::size_t kScalarTile = 256;  // columns per tile: 1 KB of a gate row
 
-void scalar_gates_batch(const PackedLstm& w, float* const* h, const int* tokens,
+void scalar_gates_batch(const PackedLstm& w, const float* const* h, const int* tokens,
                         float* const* gates, std::size_t n) {
   const std::size_t hidden = w.hidden;
   const std::size_t g4 = 4 * hidden;
@@ -87,7 +87,7 @@ void scalar_gates_batch(const PackedLstm& w, float* const* h, const int* tokens,
   }
 }
 
-void scalar_head_batch(const PackedLstm& w, float* const* h, float* const* logits,
+void scalar_head_batch(const PackedLstm& w, const float* const* h, float* const* logits,
                        std::size_t n) {
   const std::size_t hidden = w.hidden;
   const std::size_t v = w.head_out;
@@ -111,32 +111,6 @@ void scalar_head_batch(const PackedLstm& w, float* const* h, float* const* logit
   }
 }
 
-void scalar_gates_quant(const QuantizedLstm& w, const float* h, int token, float* gates) {
-  const std::size_t hidden = w.hidden;
-  const std::size_t g4 = 4 * hidden;
-  for (std::size_t j = 0; j < g4; ++j) {
-    float acc = w.bias[j];
-    if (token != kPadToken) {
-      const std::size_t wx_at = static_cast<std::size_t>(token) * g4 + j;
-      if (w.kind == QuantKind::kInt8) {
-        acc += w.wx_scale[static_cast<std::size_t>(token)] * static_cast<float>(w.wx_q[wx_at]);
-      } else {
-        acc += half_to_float(w.wx_h[wx_at]);
-      }
-    }
-    if (w.kind == QuantKind::kInt8) {
-      const std::int8_t* qt = w.wh_t_q.data() + j * hidden;
-      float dot = 0.0f;
-      for (std::size_t p = 0; p < hidden; ++p) dot += h[p] * static_cast<float>(qt[p]);
-      acc += w.wh_t_scale[j] * dot;
-    } else {
-      const std::uint16_t* wt = w.wh_t_h.data() + j * hidden;
-      for (std::size_t p = 0; p < hidden; ++p) acc += h[p] * half_to_float(wt[p]);
-    }
-    gates[j] = acc;
-  }
-}
-
 void scalar_activate_update(float* gates, std::size_t hidden, float* c, float* h) {
   lstm_activate_gates(gates, hidden);
   lstm_cell_update(gates, hidden, c, h);
@@ -156,23 +130,6 @@ void scalar_head(const PackedLstm& w, const float* h, float* logits) {
   for (std::size_t j = 0; j < n; ++j) logits[j] += w.head_b[j];
 }
 
-void scalar_head_quant(const QuantizedLstm& w, const float* h, float* logits) {
-  const std::size_t hidden = w.hidden;
-  for (std::size_t j = 0; j < w.head_out; ++j) {
-    float acc = 0.0f;
-    if (w.kind == QuantKind::kInt8) {
-      const std::int8_t* qt = w.head_w_q.data() + j * hidden;
-      float dot = 0.0f;
-      for (std::size_t p = 0; p < hidden; ++p) dot += h[p] * static_cast<float>(qt[p]);
-      acc = w.head_w_scale[j] * dot;
-    } else {
-      const std::uint16_t* wt = w.head_w_h.data() + j * hidden;
-      for (std::size_t p = 0; p < hidden; ++p) acc += h[p] * half_to_float(wt[p]);
-    }
-    logits[j] = acc + w.head_b[j];
-  }
-}
-
 void scalar_softmax(const float* logits, std::size_t n, float* probs) {
   (void)softmax_row(std::span<const float>(logits, n), std::span<float>(probs, n));
 }
@@ -188,8 +145,8 @@ const Kernels* select_kernels() {
 
 const Kernels* scalar_kernels() {
   static const Kernels kernels = {
-      &scalar_gates, &scalar_gates_quant, &scalar_activate_update, &scalar_head,
-      &scalar_head_quant, &scalar_softmax, &scalar_gates_batch, &scalar_head_batch,
+      &scalar_gates,   &scalar_activate_update, &scalar_head,
+      &scalar_softmax, &scalar_gates_batch,     &scalar_head_batch,
   };
   return &kernels;
 }
@@ -205,14 +162,6 @@ std::unique_ptr<LstmInferEngine> LstmInferEngine::build(const NextActionModel& m
   return std::unique_ptr<LstmInferEngine>(new LstmInferEngine(pack_lstm(*cell, model.head())));
 }
 
-void LstmInferEngine::attach_quantized(QuantizedLstm quant) {
-  if (quant.vocab != packed_.vocab || quant.hidden != packed_.hidden ||
-      quant.head_out != packed_.head_out) {
-    throw SerializeError("quantized weights shape mismatch");
-  }
-  quant_ = std::move(quant);
-}
-
 EngineState LstmInferEngine::make_state() const {
   EngineState state;
   state.h.assign(packed_.hidden, 0.0f);
@@ -221,39 +170,24 @@ EngineState LstmInferEngine::make_state() const {
 }
 
 void LstmInferEngine::step(EngineState& state, int action, std::vector<float>& probs,
-                           EngineScratch& scratch, bool use_quant) const {
-  assert(!use_quant || has_quantized());
+                           EngineScratch& scratch) const {
   const Kernels* k = select_kernels();
   scratch.gates.resize(4 * packed_.hidden);
   probs.resize(packed_.head_out);
   float* gates = scratch.gates.data();
-  if (use_quant) {
-    k->gates_quant(quant_, state.h.data(), action, gates);
-  } else {
-    k->gates(packed_, state.h.data(), action, gates);
-  }
+  k->gates(packed_, state.h.data(), action, gates);
   k->activate_update(gates, packed_.hidden, state.c.data(), state.h.data());
-  if (use_quant) {
-    k->head_quant(quant_, state.h.data(), probs.data());
-  } else {
-    k->head(packed_, state.h.data(), probs.data());
-  }
+  k->head(packed_, state.h.data(), probs.data());
   k->softmax(probs.data(), packed_.head_out, probs.data());
 }
 
-bool LstmInferEngine::step_batch(std::span<EngineState* const> states, std::span<const int> actions,
+void LstmInferEngine::step_batch(std::span<EngineState* const> states, std::span<const int> actions,
                                  std::span<std::vector<float>* const> probs,
-                                 EngineScratch& scratch, bool use_quant, bool defer_heads) const {
+                                 EngineScratch& scratch, bool defer_heads) const {
   assert(states.size() == actions.size() && states.size() == probs.size());
   const std::size_t n = states.size();
-  if (n == 0) return false;
+  if (n == 0) return;
   const Kernels* k = select_kernels();
-  if (use_quant) {
-    for (std::size_t i = 0; i < n; ++i) {
-      step(*states[i], actions[i], *probs[i], scratch, use_quant);
-    }
-    return false;
-  }
   // One row takes the one-row kernels (so a batch of one is exactly
   // step() on every table); more rows take the fused batch kernels,
   // which reuse each weight row across the batch.
@@ -274,7 +208,7 @@ bool LstmInferEngine::step_batch(std::span<EngineState* const> states, std::span
   for (std::size_t i = 0; i < n; ++i) {
     k->activate_update(scratch.gate_rows[i], hidden, states[i]->c.data(), states[i]->h.data());
   }
-  if (defer_heads) return true;
+  if (defer_heads) return;
   scratch.logit_rows.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     probs[i]->resize(packed_.head_out);
@@ -289,19 +223,12 @@ bool LstmInferEngine::step_batch(std::span<EngineState* const> states, std::span
   for (std::size_t i = 0; i < n; ++i) {
     k->softmax(scratch.logit_rows[i], packed_.head_out, scratch.logit_rows[i]);
   }
-  return false;
 }
 
-void LstmInferEngine::finish_probs(const EngineState& state, std::vector<float>& probs,
-                                   bool use_quant) const {
-  assert(!use_quant || has_quantized());
+void LstmInferEngine::finish_probs(const EngineState& state, std::vector<float>& probs) const {
   const Kernels* k = select_kernels();
   probs.resize(packed_.head_out);
-  if (use_quant) {
-    k->head_quant(quant_, state.h.data(), probs.data());
-  } else {
-    k->head(packed_, state.h.data(), probs.data());
-  }
+  k->head(packed_, state.h.data(), probs.data());
   k->softmax(probs.data(), packed_.head_out, probs.data());
 }
 

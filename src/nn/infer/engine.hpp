@@ -10,8 +10,7 @@
 // same weights and state — proven by tests/test_infer.cpp — so every
 // determinism guarantee (WAL replay, hot swap, server-vs-offline,
 // cross-session batches) survives the fast path. The avx2 kernels are
-// ULP-bounded instead; quantized scoring additionally changes the weights
-// and is gated by core/quant_gate.hpp.
+// ULP-bounded instead.
 #pragma once
 
 #include <algorithm>
@@ -22,7 +21,6 @@
 
 #include "nn/infer/dispatch.hpp"
 #include "nn/infer/packed.hpp"
-#include "nn/infer/quant.hpp"
 
 namespace misuse::nn {
 class NextActionModel;
@@ -40,11 +38,11 @@ struct EngineState {
   }
 };
 
-/// Reusable per-caller scratch (one fused gate row).
+/// Reusable per-caller scratch.
 struct EngineScratch {
   std::vector<float> gates;
-  // Batch staging (step_batch's fused path): row pointers into states,
-  // the shared gates buffer, and the callers' probability vectors.
+  // Batch staging: row pointers into states, the shared gates buffer,
+  // and the callers' probability vectors.
   std::vector<float*> h_rows;
   std::vector<float*> gate_rows;
   std::vector<float*> logit_rows;
@@ -54,55 +52,42 @@ class LstmInferEngine {
  public:
   /// Packs the model's weights; returns null when the model is outside
   /// the supported shape (stacked layers, embeddings, or a non-LSTM
-  /// cell fall back to the reference path).
+  /// cell score through NextActionModel::step_into instead).
   static std::unique_ptr<LstmInferEngine> build(const NextActionModel& model);
 
   std::size_t vocab() const { return packed_.vocab; }
   std::size_t hidden() const { return packed_.hidden; }
-  const PackedLstm& packed() const { return packed_; }
-
-  /// Attaches quantized weights loaded from a v3 archive (or freshly
-  /// quantized). Shapes must match the packed float weights.
-  void attach_quantized(QuantizedLstm quant);
-  bool has_quantized() const { return quant_.kind != QuantKind::kNone; }
-  const QuantizedLstm& quantized() const { return quant_; }
 
   EngineState make_state() const;
 
   /// Advances one session by one action; writes the softmax'd
   /// next-action distribution into probs (resized to vocab).
-  /// use_quant requires has_quantized().
-  void step(EngineState& state, int action, std::vector<float>& probs, EngineScratch& scratch,
-            bool use_quant = false) const;
+  void step(EngineState& state, int action, std::vector<float>& probs,
+            EngineScratch& scratch) const;
 
   /// Batched variant: states[i] advances on actions[i] into *probs[i].
-  /// Float rows run through the fused batch kernels (one row: the
-  /// one-row kernels); with the scalar table the result is bit-identical
-  /// to n calls of step() in order, with avx2 it stays in the ULP
-  /// envelope.
+  /// Rows run through the fused batch kernels (one row: the one-row
+  /// kernels); with the scalar table the result is bit-identical to n
+  /// calls of step() in order, with avx2 it stays in the ULP envelope.
   ///
-  /// With defer_heads, every float path (n == 1 included) advances the
-  /// states but skips the head + softmax (most batch consumers only ever
-  /// read one or two clusters' distributions; see OnlineMonitor); the
-  /// probs vectors are then left untouched and the call returns true —
-  /// recover any row later with finish_probs. The quantized path loops
-  /// step(), ignores the flag, fills probs, and returns false.
-  bool step_batch(std::span<EngineState* const> states, std::span<const int> actions,
+  /// With defer_heads (n == 1 included) the states advance but the head
+  /// + softmax is skipped (most batch consumers only ever read one or
+  /// two clusters' distributions; see OnlineMonitor): the probs vectors
+  /// are left untouched — recover any row later with finish_probs.
+  void step_batch(std::span<EngineState* const> states, std::span<const int> actions,
                   std::span<std::vector<float>* const> probs, EngineScratch& scratch,
-                  bool use_quant = false, bool defer_heads = false) const;
+                  bool defer_heads = false) const;
 
   /// Head + softmax only, from the state's current h (i.e. the
   /// distribution the last step() / step_batch() advance implies). With
   /// the scalar kernels this is the exact tail of step(), so a deferred
   /// batch step + finish_probs stays bit-identical to the eager step.
-  void finish_probs(const EngineState& state, std::vector<float>& probs,
-                    bool use_quant = false) const;
+  void finish_probs(const EngineState& state, std::vector<float>& probs) const;
 
  private:
   explicit LstmInferEngine(PackedLstm packed) : packed_(std::move(packed)) {}
 
   PackedLstm packed_;
-  QuantizedLstm quant_;
 };
 
 }  // namespace misuse::nn::infer

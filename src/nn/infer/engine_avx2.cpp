@@ -1,13 +1,13 @@
-// AVX2/FMA/F16C kernel table for the inference engine. This TU is the
-// only one compiled with -mavx2 -mfma -mf16c (see src/nn/CMakeLists.txt,
+// AVX2/FMA kernel table for the inference engine. This TU is the only
+// one compiled with -mavx2 -mfma (see src/nn/CMakeLists.txt,
 // MISUSE_SIMD); everything it exports is reached through the runtime
 // dispatch in nn/infer/dispatch.cpp, which checks CPU support first.
 //
 // These kernels are ULP-close to the scalar table, not bit-identical:
-// the dot products use 8-lane FMA accumulators (different association
-// order) and the gate nonlinearities run on a vectorized exp polynomial
-// (Cephes-style, as in avx_mathfun) instead of libm. tests/test_infer.cpp
-// pins the divergence with a per-step ULP/absolute bound.
+// the GEMVs fuse multiply-adds in register-blocked tiles and the gate
+// nonlinearities run on a vectorized exp polynomial (Cephes-style, as in
+// avx_mathfun) instead of libm. tests/test_infer.cpp pins the divergence
+// with a per-step ULP bound.
 #include "nn/infer/kernels.hpp"
 
 #if defined(MISUSEDET_HAVE_AVX2)
@@ -19,70 +19,12 @@
 
 #include "nn/gate_math.hpp"
 #include "nn/infer/packed.hpp"
-#include "nn/infer/quant.hpp"
 #include "nn/lstm.hpp"
 #include "tensor/ops.hpp"
 
 namespace misuse::nn::infer {
 
 namespace {
-
-inline float hsum256(__m256 v) {
-  __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  lo = _mm_add_ps(lo, hi);
-  lo = _mm_hadd_ps(lo, lo);
-  lo = _mm_hadd_ps(lo, lo);
-  return _mm_cvtss_f32(lo);
-}
-
-// Dense float dot with 4 independent accumulators to hide FMA latency.
-inline float dot_f32(const float* a, const float* b, std::size_t n) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  __m256 acc2 = _mm256_setzero_ps();
-  __m256 acc3 = _mm256_setzero_ps();
-  std::size_t p = 0;
-  for (; p + 32 <= n; p += 32) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + p), _mm256_loadu_ps(b + p), acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + p + 8), _mm256_loadu_ps(b + p + 8), acc1);
-    acc2 = _mm256_fmadd_ps(_mm256_loadu_ps(a + p + 16), _mm256_loadu_ps(b + p + 16), acc2);
-    acc3 = _mm256_fmadd_ps(_mm256_loadu_ps(a + p + 24), _mm256_loadu_ps(b + p + 24), acc3);
-  }
-  for (; p + 8 <= n; p += 8) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + p), _mm256_loadu_ps(b + p), acc0);
-  }
-  float total = hsum256(_mm256_add_ps(_mm256_add_ps(acc0, acc1), _mm256_add_ps(acc2, acc3)));
-  for (; p < n; ++p) total += a[p] * b[p];
-  return total;
-}
-
-// int8 dot: sign-extend 8 bytes -> i32 -> f32, FMA against b.
-inline float dot_q8(const std::int8_t* a, const float* b, std::size_t n) {
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t p = 0;
-  for (; p + 8 <= n; p += 8) {
-    const __m128i bytes = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a + p));
-    const __m256 f = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(bytes));
-    acc = _mm256_fmadd_ps(f, _mm256_loadu_ps(b + p), acc);
-  }
-  float total = hsum256(acc);
-  for (; p < n; ++p) total += static_cast<float>(a[p]) * b[p];
-  return total;
-}
-
-// fp16 dot: decode 8 halves per cycle through F16C.
-inline float dot_f16(const std::uint16_t* a, const float* b, std::size_t n) {
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t p = 0;
-  for (; p + 8 <= n; p += 8) {
-    const __m128i halves = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + p));
-    acc = _mm256_fmadd_ps(_mm256_cvtph_ps(halves), _mm256_loadu_ps(b + p), acc);
-  }
-  float total = hsum256(acc);
-  for (; p < n; ++p) total += half_to_float(a[p]) * b[p];
-  return total;
-}
 
 // Vectorized exp (Cephes expf port, as in avx_mathfun): range-reduced
 // polynomial, ~1 ulp relative error inside the clamp range.
@@ -131,25 +73,11 @@ inline const float* wx_row(const PackedLstm& w, int token) {
                             : w.wx.data() + static_cast<std::size_t>(token) * 4 * w.hidden;
 }
 
-void avx2_gates(const PackedLstm& w, const float* h, int token, float* gates) {
-  const std::size_t hidden = w.hidden;
-  const std::size_t g4 = 4 * hidden;
-  const float* wxrow = wx_row(w, token);
-  for (std::size_t j = 0; j < g4; ++j) {
-    float acc = w.bias[j];
-    if (wxrow != nullptr) acc += wxrow[j];
-    gates[j] = acc + dot_f32(w.wh_t.data() + j * hidden, h, hidden);
-  }
-}
-
-// Fused batch GEMV: accumulate `row[j0..] += x[p] * m(p, j0..)` for one
-// session with the output block pinned in 8 ymm registers — pure
-// broadcast-FMA streams, no horizontal reductions. `m` is in reference
-// (p-major) layout. This associates the sum differently from dot_f32
-// (p-ascending instead of 4-lane chunks), which is fine: the whole avx2
-// table is ULP-close to scalar, not bit-identical, and the batch kernels
-// are pinned against the one-row kernels by the same ULP bound in
-// tests/test_infer.cpp.
+// GEMV accumulate: `row[j0..] += x[p] * m(p, j0..)` for one session with
+// the output block pinned in 8 ymm registers — pure broadcast-FMA
+// streams, no horizontal reductions. `m` is in reference (p-major)
+// layout, so the sum runs in the scalar kernels' p-ascending order, each
+// step one FMA.
 inline void accum_rows(const float* m, std::size_t cols, const float* x, std::size_t len,
                        float* row) {
   constexpr std::size_t kBlock = 8;  // 8 ymm = 64 output columns per pass
@@ -273,33 +201,11 @@ void seed_gate_rows(const PackedLstm& w, float* const* gates, const int* tokens,
   }
 }
 
-void avx2_gates_batch(const PackedLstm& w, float* const* h, const int* tokens,
+void avx2_gates_batch(const PackedLstm& w, const float* const* h, const int* tokens,
                       float* const* gates, std::size_t n) {
   const std::size_t g4 = 4 * w.hidden;
   seed_gate_rows(w, gates, tokens, n);
   accum_rows_batch(w.wh.data(), g4, h, w.hidden, gates, n);
-}
-
-void avx2_gates_quant(const QuantizedLstm& w, const float* h, int token, float* gates) {
-  const std::size_t hidden = w.hidden;
-  const std::size_t g4 = 4 * hidden;
-  for (std::size_t j = 0; j < g4; ++j) {
-    float acc = w.bias[j];
-    if (token != kPadToken) {
-      const std::size_t wx_at = static_cast<std::size_t>(token) * g4 + j;
-      if (w.kind == QuantKind::kInt8) {
-        acc += w.wx_scale[static_cast<std::size_t>(token)] * static_cast<float>(w.wx_q[wx_at]);
-      } else {
-        acc += half_to_float(w.wx_h[wx_at]);
-      }
-    }
-    if (w.kind == QuantKind::kInt8) {
-      acc += w.wh_t_scale[j] * dot_q8(w.wh_t_q.data() + j * hidden, h, hidden);
-    } else {
-      acc += dot_f16(w.wh_t_h.data() + j * hidden, h, hidden);
-    }
-    gates[j] = acc;
-  }
 }
 
 void avx2_activate_update(float* gates, std::size_t hidden, float* c, float* h) {
@@ -338,13 +244,8 @@ void avx2_activate_update(float* gates, std::size_t hidden, float* c, float* h) 
   }
 }
 
-void avx2_head(const PackedLstm& w, const float* h, float* logits) {
-  for (std::size_t j = 0; j < w.head_out; ++j) {
-    logits[j] = dot_f32(w.head_w_t.data() + j * w.hidden, h, w.hidden) + w.head_b[j];
-  }
-}
-
-void avx2_head_batch(const PackedLstm& w, float* const* h, float* const* logits, std::size_t n) {
+void avx2_head_batch(const PackedLstm& w, const float* const* h, float* const* logits,
+                     std::size_t n) {
   const std::size_t out = w.head_out;
   for (std::size_t i = 0; i < n; ++i) {
     float* row = logits[i];
@@ -353,16 +254,13 @@ void avx2_head_batch(const PackedLstm& w, float* const* h, float* const* logits,
   accum_rows_batch(w.head_w.data(), out, h, w.hidden, logits, n);
 }
 
-void avx2_head_quant(const QuantizedLstm& w, const float* h, float* logits) {
-  for (std::size_t j = 0; j < w.head_out; ++j) {
-    float acc;
-    if (w.kind == QuantKind::kInt8) {
-      acc = w.head_w_scale[j] * dot_q8(w.head_w_q.data() + j * w.hidden, h, w.hidden);
-    } else {
-      acc = dot_f16(w.head_w_h.data() + j * w.hidden, h, w.hidden);
-    }
-    logits[j] = acc + w.head_b[j];
-  }
+// One row is the batch kernel with n == 1.
+void avx2_gates(const PackedLstm& w, const float* h, int token, float* gates) {
+  avx2_gates_batch(w, &h, &token, &gates, 1);
+}
+
+void avx2_head(const PackedLstm& w, const float* h, float* logits) {
+  avx2_head_batch(w, &h, &logits, 1);
 }
 
 void avx2_softmax(const float* logits, std::size_t n, float* probs) {
@@ -384,8 +282,8 @@ void avx2_softmax(const float* logits, std::size_t n, float* probs) {
 
 const Kernels* avx2_kernels() {
   static const Kernels kernels = {
-      &avx2_gates, &avx2_gates_quant, &avx2_activate_update, &avx2_head,
-      &avx2_head_quant, &avx2_softmax, &avx2_gates_batch, &avx2_head_batch,
+      &avx2_gates,   &avx2_activate_update, &avx2_head,
+      &avx2_softmax, &avx2_gates_batch,     &avx2_head_batch,
   };
   return &kernels;
 }

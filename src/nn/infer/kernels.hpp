@@ -10,11 +10,11 @@
 // determinism contract (WAL replay, hot swap, cross-session batching in
 // the server) rides on this.
 //
-// The avx2 table (nn/infer/engine_avx2.cpp, compiled with -mavx2 -mfma
-// -mf16c) is ULP-close to scalar, not bit-identical (vectorized exp
-// approximation, FMA reassociation); its fused *_batch kernels use
-// register-blocked broadcast-FMA and sit inside the same ULP envelope,
-// pinned against the one-row kernels by tests/test_infer.cpp.
+// The avx2 table (nn/infer/engine_avx2.cpp, compiled with -mavx2 -mfma)
+// is ULP-close to scalar, not bit-identical (vectorized exp
+// approximation, FMA reassociation). Its kernels are register-blocked
+// broadcast-FMA GEMVs over the same p-major weights; a one-row call is
+// the batch kernel with n == 1.
 #pragma once
 
 #include <cstddef>
@@ -22,26 +22,24 @@
 namespace misuse::nn::infer {
 
 struct PackedLstm;
-struct QuantizedLstm;
 
 struct Kernels {
   /// gates[0..4H) = bias + wx[token] (token != kPadToken) + Wh^T h.
   void (*gates)(const PackedLstm& w, const float* h, int token, float* gates);
-  void (*gates_quant)(const QuantizedLstm& w, const float* h, int token, float* gates);
   /// In-place gate nonlinearities + cell update (c, h advance).
   void (*activate_update)(float* gates, std::size_t hidden, float* c, float* h);
   /// logits[0..V) = head_w h + head_b.
   void (*head)(const PackedLstm& w, const float* h, float* logits);
-  void (*head_quant)(const QuantizedLstm& w, const float* h, float* logits);
   /// Stable softmax logits -> probs (may alias).
   void (*softmax)(const float* logits, std::size_t n, float* probs);
   /// Fused batch variants over n >= 2 rows. The scalar ones are
   /// bit-identical to n one-row calls; the avx2 ones may re-associate
   /// for throughput but must stay inside the table's ULP envelope vs
-  /// the one-row kernels.
-  void (*gates_batch)(const PackedLstm& w, float* const* h, const int* tokens,
+  /// the scalar kernels.
+  void (*gates_batch)(const PackedLstm& w, const float* const* h, const int* tokens,
                       float* const* gates, std::size_t n);
-  void (*head_batch)(const PackedLstm& w, float* const* h, float* const* logits, std::size_t n);
+  void (*head_batch)(const PackedLstm& w, const float* const* h, float* const* logits,
+                     std::size_t n);
 };
 
 const Kernels* scalar_kernels();

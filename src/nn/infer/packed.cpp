@@ -4,6 +4,7 @@
 
 #include "nn/dense.hpp"
 #include "nn/lstm.hpp"
+#include "tensor/matrix.hpp"
 
 namespace misuse::nn::infer {
 
@@ -12,49 +13,16 @@ PackedLstm pack_lstm(const Lstm& cell, const Dense& head) {
   packed.vocab = cell.vocab();
   packed.hidden = cell.hidden();
   packed.head_out = head.out_dim();
-  const std::size_t h = packed.hidden;
-  const std::size_t g4 = 4 * h;
-  assert(head.in_dim() == h);
-
-  const Matrix& wx = cell.wx();    // vocab x 4H — copied as-is
-  const Matrix& wh = cell.wh();    // H x 4H — copied + transposed into wh_t
-  const Matrix& bias = cell.bias();  // 1 x 4H
-  packed.wx.assign(wx.data(), wx.data() + wx.size());
-  packed.bias.assign(bias.data(), bias.data() + bias.size());
-  packed.wh.assign(wh.data(), wh.data() + wh.size());
-  packed.wh_t.resize(g4 * h);
-  for (std::size_t j = 0; j < g4; ++j) {
-    for (std::size_t p = 0; p < h; ++p) packed.wh_t[j * h + p] = wh(p, j);
-  }
-
-  const Matrix& hw = head.weights();  // H x V — copied + transposed
-  const Matrix& hb = head.bias();     // 1 x V
-  packed.head_w.assign(hw.data(), hw.data() + hw.size());
-  packed.head_w_t.resize(packed.head_out * h);
-  for (std::size_t j = 0; j < packed.head_out; ++j) {
-    for (std::size_t p = 0; p < h; ++p) packed.head_w_t[j * h + p] = hw(p, j);
-  }
-  packed.head_b.assign(hb.data(), hb.data() + hb.size());
+  assert(head.in_dim() == packed.hidden);
+  const auto copy = [](const Matrix& m) {
+    return std::vector<float>(m.data(), m.data() + m.size());
+  };
+  packed.wx = copy(cell.wx());           // vocab x 4H
+  packed.wh = copy(cell.wh());           // H x 4H
+  packed.bias = copy(cell.bias());       // 1 x 4H
+  packed.head_w = copy(head.weights());  // H x V
+  packed.head_b = copy(head.bias());     // 1 x V
   return packed;
-}
-
-Matrix unpack_wh(const PackedLstm& packed) {
-  const std::size_t h = packed.hidden;
-  const std::size_t g4 = 4 * h;
-  Matrix wh(h, g4);
-  for (std::size_t j = 0; j < g4; ++j) {
-    for (std::size_t p = 0; p < h; ++p) wh(p, j) = packed.wh_t[j * h + p];
-  }
-  return wh;
-}
-
-Matrix unpack_head_w(const PackedLstm& packed) {
-  const std::size_t h = packed.hidden;
-  Matrix hw(h, packed.head_out);
-  for (std::size_t j = 0; j < packed.head_out; ++j) {
-    for (std::size_t p = 0; p < h; ++p) hw(p, j) = packed.head_w_t[j * h + p];
-  }
-  return hw;
 }
 
 }  // namespace misuse::nn::infer

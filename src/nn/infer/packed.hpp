@@ -1,30 +1,17 @@
 // Inference weight layout for the paper architecture (one token-input
 // LSTM layer + dense softmax head), packed once at detector-load time.
 //
-// Layout choices, driven by the per-step access pattern:
-//   wx        vocab x 4H, row-major — the reference layout; a step reads
-//             one whole row (the observed token's), already contiguous.
-//   wh        H x 4H — the reference layout, kept for the scalar kernels:
-//             bit-identity with the training-grade forward requires the
-//             *same loop shape* as tensor gemm (p-outer accumulation into
-//             the gate row), which reads wh row-by-row.
-//   wh_t      4H x H — the recurrent weights TRANSPOSED for the AVX2 and
-//             quantized kernels: gate unit j's weights over h are a
-//             contiguous row, so the per-unit dot product streams one
-//             cache line sequence instead of striding 4H floats/element.
-//   head_w    H x V — reference layout (scalar kernels, as wh).
-//   head_w_t  V x H — the head weights transposed (AVX2/quantized).
-//   bias / head_b — fp32, shared by the float and quantized paths.
-//
-// The packing is a pure permutation (no arithmetic), so it is lossless;
-// unpack_wh / unpack_head_w invert the transposed copies exactly
-// (property-tested in tests/test_infer.cpp).
+// Every matrix keeps the reference row-major layout: `wx` (vocab x 4H) so
+// a step reads the observed token's whole row contiguously, and `wh`
+// (H x 4H) / `head_w` (H x V) so the kernels can replay the training
+// forward's p-outer accumulation (the loop shape the scalar bit-identity
+// contract needs) and stream each weight row once per batch. The packing
+// is a plain copy, so it is lossless (property-tested in
+// tests/test_infer.cpp).
 #pragma once
 
 #include <cstddef>
 #include <vector>
-
-#include "tensor/matrix.hpp"
 
 namespace misuse::nn {
 class Lstm;
@@ -37,22 +24,14 @@ struct PackedLstm {
   std::size_t vocab = 0;     // token vocabulary (wx rows)
   std::size_t hidden = 0;    // H
   std::size_t head_out = 0;  // V — head output width (== vocab here)
-  std::vector<float> wx;        // vocab x 4H
-  std::vector<float> wh;        // H x 4H (reference layout, scalar kernels)
-  std::vector<float> wh_t;      // 4H x H (transposed, AVX2/quantized kernels)
-  std::vector<float> bias;      // 4H
-  std::vector<float> head_w;    // H x head_out (reference layout)
-  std::vector<float> head_w_t;  // head_out x H (transposed)
-  std::vector<float> head_b;    // head_out
+  std::vector<float> wx;      // vocab x 4H
+  std::vector<float> wh;      // H x 4H
+  std::vector<float> bias;    // 4H
+  std::vector<float> head_w;  // H x head_out
+  std::vector<float> head_b;  // head_out
 };
 
-/// Packs the cell + head weights. Pure data movement — lossless.
+/// Copies the cell + head weights. Pure data movement — lossless.
 PackedLstm pack_lstm(const Lstm& cell, const Dense& head);
-
-/// Inverts the wh transposition: returns the reference H x 4H matrix.
-Matrix unpack_wh(const PackedLstm& packed);
-
-/// Inverts the head transposition: returns the reference H x V matrix.
-Matrix unpack_head_w(const PackedLstm& packed);
 
 }  // namespace misuse::nn::infer

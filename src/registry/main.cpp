@@ -1,7 +1,6 @@
 // misusedet_registry: operator CLI over the model registry.
 //
 //   misusedet_registry publish  --root=DIR ARCHIVE [--note=TEXT]
-//                               [--quantize=int8|fp16 [--max-flip-rate=X]]
 //   misusedet_registry list     --root=DIR
 //   misusedet_registry show     --root=DIR VERSION
 //   misusedet_registry promote  --root=DIR VERSION
@@ -16,15 +15,10 @@
 #include <cstdio>
 #include <ctime>
 #include <exception>
-#include <fstream>
 #include <string>
 
-#include "core/detector.hpp"
-#include "core/quant_gate.hpp"
-#include "nn/infer/quant.hpp"
 #include "registry/registry.hpp"
 #include "util/cli.hpp"
-#include "util/serialize.hpp"
 
 namespace {
 
@@ -39,9 +33,6 @@ using misuse::registry::version_state_name;
                "usage: %s COMMAND --root=DIR [args]\n"
                "commands:\n"
                "  publish ARCHIVE [--note=TEXT]   add a detector archive as a staging version\n"
-               "          [--quantize=int8|fp16]   rewrite with quantized inference weights;\n"
-               "          [--max-flip-rate=X]      refused unless the accuracy gate passes\n"
-               "                                   (verdict flips <= X, default 0.01)\n"
                "  list [--json]                   all versions with state and provenance\n"
                "                                  (--json: one meta.json line per version)\n"
                "  show VERSION [--json]           one version's metadata + its parent\n"
@@ -93,47 +84,7 @@ int run(int argc, char** argv) {
 
   if (command == "publish") {
     if (positional.size() != 2) usage(argv[0]);
-    std::string archive = positional[1];
-    std::string quantized_tmp;
-    if (args.has("quantize")) {
-      const auto kind = misuse::nn::infer::parse_quant_kind(args.str("quantize"));
-      if (!kind || *kind == misuse::nn::infer::QuantKind::kNone) {
-        throw RegistryError("unknown --quantize kind '" + args.str("quantize") +
-                            "' (int8 | fp16)");
-      }
-      // Rewrite the archive with quantized weight sections, then reload
-      // that rewrite and measure the accuracy gate on what would actually
-      // serve — verdict flips and loss deltas against the float weights.
-      const auto detector = misuse::core::MisuseDetector::load_file(archive);
-      quantized_tmp = archive + ".quantized.tmp";
-      {
-        std::ofstream out(quantized_tmp, std::ios::binary);
-        if (!out) throw RegistryError("cannot write " + quantized_tmp);
-        misuse::BinaryWriter writer(out);
-        misuse::core::DetectorSaveOptions options;
-        options.quant = *kind;
-        detector.save(writer, options);
-      }
-      const auto reloaded = misuse::core::MisuseDetector::load_file(quantized_tmp);
-      misuse::core::QuantGateConfig gate;
-      gate.max_flip_rate = args.real("max-flip-rate", 0.01);
-      const auto result = misuse::core::measure_quant_gate(reloaded, gate);
-      std::fprintf(stderr,
-                   "quantize %s: %llu sessions, %llu steps, %llu verdict flips "
-                   "(rate %.5f, cap %.5f), max loss delta %.5f (cap %.5f)\n",
-                   misuse::nn::infer::quant_kind_name(*kind),
-                   static_cast<unsigned long long>(result.sessions),
-                   static_cast<unsigned long long>(result.steps),
-                   static_cast<unsigned long long>(result.verdict_flips), result.flip_rate,
-                   gate.max_flip_rate, result.max_loss_delta, gate.max_loss_delta);
-      if (!result.pass) {
-        std::remove(quantized_tmp.c_str());
-        throw RegistryError("quantization accuracy gate failed; refusing to publish");
-      }
-      archive = quantized_tmp;
-    }
-    const std::uint64_t version = registry.publish(archive, args.str("note"));
-    if (!quantized_tmp.empty()) std::remove(quantized_tmp.c_str());
+    const std::uint64_t version = registry.publish(positional[1], args.str("note"));
     std::printf("%s\n", version_name(version).c_str());
     return 0;
   }

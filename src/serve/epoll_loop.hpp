@@ -1,9 +1,9 @@
 // Nonblocking NDJSON front end for the serving layer: one thread, one
-// level-triggered epoll set, any number of connections. Replaces the
-// thread-per-connection TCP loop for deployments with many concurrent
-// producers (the millions-of-sessions topology needs the router +
-// node cluster in src/router, and each node needs to hold thousands of
-// sockets without a thread each).
+// level-triggered epoll set, any number of connections — the only TCP
+// front end of misusedet_serve and misusedet_router (the
+// millions-of-sessions topology needs the router + node cluster in
+// src/router, and each node needs to hold thousands of sockets without a
+// thread each).
 //
 // Framing and hardening:
 //   * per-connection input buffer accumulates partial reads until a
@@ -25,7 +25,7 @@
 // on_lines handler in one call, which decides what they mean:
 // misusedet_serve scores them as one ScoringServer::submit_batch (one
 // fused model step across sessions and shards; per-connection output
-// stays byte-identical to the thread-per-connection path), and
+// stays byte-identical to stdin pipe mode on the same event order), and
 // misusedet_router forwards each line to a cluster node (each_line).
 // Replies return to each connection in line order. Cross-thread writers
 // (the router's upstream reply readers) inject output via post(), which

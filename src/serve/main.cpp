@@ -7,10 +7,10 @@
 //
 // Modes:
 //   * default: events on stdin, verdicts on stdout (pipe-friendly);
-//   * --listen=PORT: accept TCP connections, one NDJSON stream each;
-//     verdicts return on the originating connection, while eviction /
-//     shutdown session reports go to stdout (sessions outlive
-//     connections).
+//   * --listen=PORT: accept TCP connections, one NDJSON stream each,
+//     all multiplexed onto one epoll event loop; verdicts return on the
+//     originating connection, while eviction / shutdown session reports
+//     go to stdout (sessions outlive connections).
 //
 // Graceful shutdown: EOF on stdin, or SIGINT/SIGTERM in either mode,
 // drains the queued backlog and emits a session_report for every open
@@ -21,7 +21,7 @@
 //       [--shards=N] [--queue-capacity=N] [--backpressure=block|drop_oldest]
 //       [--idle-ttl=SECONDS] [--max-sessions=N] [--batch=N] [--threads=N]
 //       [--alarm-likelihood=X] [--trend-window=N] [--trend-drop=X]
-//       [--infer=auto|scalar|avx2|reference] [--no-quant]
+//       [--infer=scalar|avx2]
 //       [--no-steps] [--metrics-out=PATH]
 //       [--admin-port=PORT] [--trace-sample=N]
 #include <atomic>
@@ -30,7 +30,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -48,7 +47,6 @@
 #include "util/fsio.hpp"
 #include "util/line_io.hpp"
 #include "util/logging.hpp"
-#include "util/socket.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
@@ -68,8 +66,8 @@ void install_signal_handlers() {
   ::sigaction(SIGINT, &action, nullptr);
   ::sigaction(SIGTERM, &action, nullptr);
   // SIGHUP = "re-check the registry now" (hot-swap fast path). SA_RESTART
-  // keeps the blocking stdin/socket read alive: without it the signal
-  // fails std::cin with EINTR and the server mistakes that for EOF.
+  // keeps the blocking stdin read alive: without it the signal fails
+  // std::cin with EINTR and the server mistakes that for EOF.
   struct sigaction reload {};
   reload.sa_handler = handle_reload;
   reload.sa_flags = SA_RESTART;
@@ -103,7 +101,7 @@ class ModelReloader {
   }
 
   /// Version names for /statusz; readable from the admin thread while
-  /// the reloader runs on the sweeper/pipe thread.
+  /// the reloader runs on the event-loop/pipe thread.
   std::string active_version() const {
     const std::uint64_t v = active_.load(std::memory_order_relaxed);
     return v == 0 ? std::string{} : registry::version_name(v);
@@ -113,7 +111,7 @@ class ModelReloader {
     return v == 0 ? std::string{} : registry::version_name(v);
   }
 
-  /// Called at batch boundaries (pipe mode) / sweeper ticks (TCP mode).
+  /// Called at batch boundaries (pipe mode) / event-loop ticks (TCP mode).
   void maybe_reload(std::vector<OutputRecord>& out) {
     const bool forced = g_reload.exchange(false, std::memory_order_relaxed);
     const auto now = std::chrono::steady_clock::now();
@@ -188,10 +186,6 @@ void print_usage(const std::string& program) {
       << "  --canary-fraction=X     fraction of sessions the shadow scores (default 1.0)\n"
       << "  --drift                 track served-action drift against the training mix\n"
       << "  --listen=PORT           serve NDJSON over TCP instead of stdin/stdout\n"
-      << "  --io=MODE               TCP front end: threads (one blocking reader per\n"
-      << "                          connection, default) | epoll (one nonblocking event\n"
-      << "                          loop for all connections — the cluster-node mode;\n"
-      << "                          scored output is byte-identical either way)\n"
       << "  --shards=N              session-table shards (default 4)\n"
       << "  --queue-capacity=N      per-shard event queue bound (default 1024)\n"
       << "  --backpressure=POLICY   block | drop_oldest (default block)\n"
@@ -202,10 +196,9 @@ void print_usage(const std::string& program) {
       << "  --alarm-likelihood=X    immediate alarm threshold (default 0.02)\n"
       << "  --trend-window=N        trend detector window (default 8)\n"
       << "  --trend-drop=X          trend alarm relative drop (default 0.5)\n"
-      << "  --infer=MODE            inference kernels: auto | scalar | avx2 | reference\n"
-      << "                          (default auto = fastest bit-identical mode; avx2 is\n"
+      << "  --infer=MODE            inference kernels: scalar | avx2 (default scalar,\n"
+      << "                          bit-identical to the training forward; avx2 is\n"
       << "                          opt-in and ULP-close, not bit-identical)\n"
-      << "  --no-quant              ignore quantized weight sections in the archive\n"
       << "  --no-steps              emit only session reports, not per-step verdicts\n"
       << "  --metrics-out=PATH      write the metrics/trace snapshot on exit\n"
       << "  --admin-port=PORT       operations plane: /metrics (Prometheus) /healthz /statusz\n"
@@ -218,16 +211,10 @@ void print_usage(const std::string& program) {
       << "  --resume-replay         after recovery, dedup producers that resend from origin\n";
 }
 
-void flush_records(std::vector<OutputRecord>& records, std::ostream& out, std::mutex* mutex) {
+void flush_records(std::vector<OutputRecord>& records, std::ostream& out) {
   if (records.empty()) return;
-  if (mutex != nullptr) {
-    std::lock_guard<std::mutex> lock(*mutex);
-    for (const auto& r : records) out << r.line << '\n';
-    out.flush();
-  } else {
-    for (const auto& r : records) out << r.line << '\n';
-    out.flush();
-  }
+  for (const auto& r : records) out << r.line << '\n';
+  out.flush();
   records.clear();
 }
 
@@ -249,14 +236,14 @@ int run_pipe(ScoringServer& server, std::size_t batch_max, ModelReloader* reload
     }
     while (server.enqueue(event, out) == ScoringServer::Enqueue::kQueueFull) {
       server.pump(out);
-      flush_records(out, std::cout, nullptr);
+      flush_records(out, std::cout);
     }
     if (++batched >= batch_max) {
       server.pump(out);
       server.sweep(out);
       server.maybe_checkpoint(out);
       if (reloader != nullptr) reloader->maybe_reload(out);
-      flush_records(out, std::cout, nullptr);
+      flush_records(out, std::cout);
       batched = 0;
     }
   }
@@ -264,96 +251,17 @@ int run_pipe(ScoringServer& server, std::size_t batch_max, ModelReloader* reload
     log_warn() << "input line exceeded the size cap; draining and shutting down";
   }
   server.shutdown(out);
-  flush_records(out, std::cout, nullptr);
+  flush_records(out, std::cout);
   return 0;
 }
 
-/// TCP mode: one blocking reader thread per connection, verdicts written
-/// back on the same connection; session reports (evictions, shutdown
-/// drain) go to stdout under a shared mutex.
-int run_tcp(ScoringServer& server, std::uint16_t port, ModelReloader* reloader) {
-  TcpListener listener = TcpListener::bind(port);
-  log_info() << "listening on port " << listener.port();
-  std::mutex stdout_mutex;
-
-  std::vector<std::thread> connections;
-  std::vector<std::weak_ptr<TcpStream>> open_streams;
-  std::mutex connections_mutex;
-
-  // Periodic TTL sweeps: event-time driven, checked on a coarse wall tick.
-  // The same tick drives registry hot-swaps; connection threads blocked in
-  // submit_batch simply observe the new model once the barrier releases.
-  std::thread sweeper([&server, &stdout_mutex, reloader] {
-    std::vector<OutputRecord> out;
-    while (!g_stop.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(500));
-      server.sweep(out);
-      server.maybe_checkpoint(out);
-      if (reloader != nullptr) reloader->maybe_reload(out);
-      flush_records(out, std::cout, &stdout_mutex);
-    }
-  });
-
-  // Watches for the signal flag, then closes the listener and half-closes
-  // every open connection so blocked accept()/read() calls return.
-  std::thread stopper([&listener, &open_streams, &connections_mutex] {
-    while (!g_stop.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-    listener.close();
-    std::lock_guard<std::mutex> lock(connections_mutex);
-    for (const auto& weak : open_streams) {
-      if (const auto stream = weak.lock()) stream->shutdown_read();
-    }
-  });
-
-  while (auto conn = listener.accept()) {
-    auto stream = std::make_shared<TcpStream>(std::move(*conn));
-    std::lock_guard<std::mutex> lock(connections_mutex);
-    open_streams.push_back(stream);
-    connections.emplace_back([stream = std::move(stream), &server] {
-          LineReader reader(stream->io());
-          std::string line;
-          std::string error;
-          std::vector<OutputRecord> out;
-          while (!g_stop.load(std::memory_order_relaxed) && reader.next(line)) {
-            if (line.empty()) continue;
-            Event event;
-            if (!parse_event(line, event, error)) {
-              serve_metrics().parse_errors.inc();
-              stream->io() << render_error_record(error, line) << '\n';
-              stream->io().flush();
-              continue;
-            }
-            server.submit_batch(std::span<const Event>(&event, 1), out);
-            for (const auto& r : out) stream->io() << r.line << '\n';
-            stream->io().flush();
-            out.clear();
-          }
-          stream->shutdown_write();
-        });
-  }
-
-  g_stop.store(true, std::memory_order_relaxed);
-  stopper.join();
-  sweeper.join();
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex);
-    for (auto& t : connections) t.join();
-  }
-  std::vector<OutputRecord> out;
-  server.shutdown(out);
-  flush_records(out, std::cout, &stdout_mutex);
-  return 0;
-}
-
-/// Epoll TCP mode: every connection multiplexed onto one nonblocking
-/// event loop. All complete lines one wakeup delivers are scored as one
+/// TCP mode: every connection multiplexed onto one nonblocking event
+/// loop. All complete lines one wakeup delivers are scored as one
 /// submit_batch (one fused model step across the ready sessions); each
-/// record maps back to its line through its seq, so per-connection
-/// output is byte-identical to --io=threads. TTL sweeps, checkpoints,
-/// and registry reloads ride the loop's tick (no sweeper thread), with
-/// session reports on stdout as before.
+/// record maps back to its line through its seq, so every connection
+/// gets its verdicts in its own line order. TTL sweeps, checkpoints,
+/// and registry reloads ride the loop's tick, with session reports on
+/// stdout.
 int run_epoll(ScoringServer& server, std::uint16_t port, ModelReloader* reloader) {
   EpollConfig config;
   config.port = port;
@@ -392,14 +300,14 @@ int run_epoll(ScoringServer& server, std::uint16_t port, ModelReloader* reloader
     server.sweep(out);
     server.maybe_checkpoint(out);
     if (reloader != nullptr) reloader->maybe_reload(out);
-    flush_records(out, std::cout, nullptr);
+    flush_records(out, std::cout);
   };
   EpollLoop loop(config, handlers);
   log_info() << "listening on port " << loop.port() << " (epoll)";
 
   // The loop wakes at least every tick, so a signal turns into
   // request_stop within one tick; the watcher thread just narrows that
-  // window the same way the threads-mode stopper does.
+  // window.
   std::thread stopper([&loop] {
     while (!g_stop.load(std::memory_order_relaxed)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -412,7 +320,7 @@ int run_epoll(ScoringServer& server, std::uint16_t port, ModelReloader* reloader
 
   std::vector<OutputRecord> out;
   server.shutdown(out);
-  flush_records(out, std::cout, nullptr);
+  flush_records(out, std::cout);
   return 0;
 }
 
@@ -463,23 +371,19 @@ int serve_main(int argc, char** argv) {
   if (args.has("threads")) {
     set_global_threads(static_cast<std::size_t>(args.integer("threads", 0)));
   }
-  // Kernel selection must be settled before the detector loads: quant
-  // gating happens at load time, and the mode is process-global.
+  // The kernel mode is process-global: settle it before anything scores.
   if (args.has("infer")) {
     const auto mode = nn::infer::parse_infer_mode(args.str("infer"));
     if (!mode) {
-      std::cerr << "unknown --infer mode '" << args.str("infer")
-                << "' (auto | scalar | avx2 | reference)\n";
+      std::cerr << "unknown --infer mode '" << args.str("infer") << "' (scalar | avx2)\n";
       return 2;
     }
     nn::infer::set_infer_mode(*mode);
   }
-  if (!args.flag("quant", true)) nn::infer::set_quant_enabled(false);
   log_info() << "inference kernels: " << nn::infer::infer_mode_name(nn::infer::infer_mode())
              << " (effective "
              << nn::infer::infer_mode_name(nn::infer::effective_infer_mode())
-             << ", avx2 " << (nn::infer::avx2_supported() ? "available" : "unavailable")
-             << ", quantized sections " << (nn::infer::quant_enabled() ? "on" : "off") << ")";
+             << ", avx2 " << (nn::infer::avx2_supported() ? "available" : "unavailable") << ")";
 
   core::register_core_metrics();
   core::MetricsExport metrics_export(args.str("metrics-out"));
@@ -523,7 +427,7 @@ int serve_main(int argc, char** argv) {
     // traffic; replayed records carry their original sequence numbers.
     std::vector<OutputRecord> recovered;
     server.recover(recovered);
-    flush_records(recovered, std::cout, nullptr);
+    flush_records(recovered, std::cout);
   }
   std::optional<ModelReloader> reloader;
   if (registry) {
@@ -572,13 +476,7 @@ int serve_main(int argc, char** argv) {
 
   if (args.has("listen")) {
     const std::uint16_t listen_port = static_cast<std::uint16_t>(args.integer("listen", 0));
-    const std::string io = args.str("io", "threads");
-    if (io == "epoll") return run_epoll(server, listen_port, reloader_ptr);
-    if (io != "threads") {
-      std::cerr << "unknown --io mode '" << io << "' (threads | epoll)\n";
-      return 2;
-    }
-    return run_tcp(server, listen_port, reloader_ptr);
+    return run_epoll(server, listen_port, reloader_ptr);
   }
   return run_pipe(server, static_cast<std::size_t>(args.integer("batch", 256)), reloader_ptr);
 }

@@ -431,8 +431,7 @@ ScoringServer::Submitted ScoringServer::submit_batch(std::span<const Event> even
   submitted.first_seq = seq_.fetch_add(events.size(), std::memory_order_relaxed);
   const std::size_t base = out.size();
 
-  // Per-thread staging, reused across calls (the threads front end calls
-  // this concurrently from its connection threads).
+  // Per-thread staging, reused across calls.
   struct Batch {
     std::vector<std::vector<SessionShard::PendingEvent>> per_shard;
     std::vector<SessionShard*> tables;

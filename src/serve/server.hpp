@@ -20,7 +20,7 @@
 //     end-of-session report for every open session.
 //   * submit_batch(): the TCP entry point. Scores a batch of events
 //     immediately, bypassing the queue: everything one epoll wakeup
-//     delivered (the threads front end passes one event). It locks the
+//     delivered. It locks the
 //     touched shards in index order, stages each one, runs one fused
 //     OnlineMonitor::observe_batch per pinned detector across all of
 //     them (the shards share the weights, so one weight pass serves

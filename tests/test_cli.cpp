@@ -11,6 +11,7 @@
 
 #include "core/experiment.hpp"
 #include "core/observability.hpp"
+#include "temp_dir.hpp"
 
 namespace misuse {
 namespace {
@@ -287,7 +288,7 @@ TEST(MetricsSnapshot, WritesValidJsonWithCanonicalPanel) {
 }
 
 TEST(MetricsSnapshot, WriteFileRoundTrips) {
-  const std::string path = ::testing::TempDir() + "misusedet_metrics_test.json";
+  const std::string path = misuse::testing_support::test_temp_path("misusedet_metrics_test.json");
   ASSERT_TRUE(core::write_metrics_snapshot_file(path));
   std::ifstream in(path);
   ASSERT_TRUE(in.good());

@@ -1,7 +1,10 @@
 // Detector persistence round-trip as used by the serving path
 // (misusedet_serve loads an archive saved after training): save -> load
 // -> score equivalence, plus SerializeError coverage for truncated
-// archives, wrong magic, and unsupported versions.
+// archives, wrong magic, and unsupported versions. Legacy archives with
+// quantized weight sections are covered through the committed fixture
+// tests/golden/detector_v3_int8.bin (tests/golden/detector.bin with an
+// int8 section per cluster).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -12,10 +15,10 @@
 
 #include "core/detector.hpp"
 #include "core/monitor.hpp"
-#include "nn/infer/dispatch.hpp"
-#include "nn/infer/quant.hpp"
 #include "synth/portal.hpp"
+#include "temp_dir.hpp"
 #include "util/failpoint.hpp"
+#include "util/rng.hpp"
 #include "util/serialize.hpp"
 
 namespace misuse::core {
@@ -151,7 +154,7 @@ TEST_F(PersistenceFixture, LoadErrorsNameTheFailingSection) {
 }
 
 TEST_F(PersistenceFixture, LoadFileErrorsCarryThePath) {
-  const std::string path = ::testing::TempDir() + "misusedet_persistence_truncated.bin";
+  const std::string path = testing_support::test_temp_path("misusedet_persistence_truncated.bin");
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << archive_->substr(0, archive_->size() / 2);
@@ -165,7 +168,7 @@ TEST_F(PersistenceFixture, LoadFileErrorsCarryThePath) {
     EXPECT_NE(what.find("section "), std::string::npos) << what;
   }
 
-  const std::string missing = ::testing::TempDir() + "misusedet_no_such_archive.bin";
+  const std::string missing = testing_support::test_temp_path("misusedet_no_such_archive.bin");
   try {
     (void)MisuseDetector::load_file(missing);
     FAIL() << "missing archive file loaded";
@@ -256,146 +259,116 @@ TEST_F(PersistenceFixture, InjectedLstmCorruptionDegradesToMarkovFallback) {
   }
 }
 
-// --- archive v3: quantized weight sections -----------------------------
+// --- archive v3: legacy quantized weight sections ----------------------
+
+const std::string kGoldenDir = MISUSEDET_GOLDEN_DIR;
+
+std::string read_golden(const std::string& name) {
+  std::ifstream in(kGoldenDir + "/" + name, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  EXPECT_FALSE(buffer.str().empty()) << "missing fixture tests/golden/" << name;
+  return buffer.str();
+}
+
+// The float archive and its int8-quantized twin, published by an older
+// release (`misusedet_registry publish --quantize=int8`).
+const std::string& float_archive() {
+  static const std::string bytes = read_golden("detector.bin");
+  return bytes;
+}
+const std::string& int8_archive() {
+  static const std::string bytes = read_golden("detector_v3_int8.bin");
+  return bytes;
+}
 
 // The quantized payload begins with its "IMQT" magic; locating it in the
 // raw archive gives a byte offset inside the (CRC-protected) quant
-// section without hard-coding the layout of everything before it.
+// section without hard-coding the layout of everything before it. The
+// section's u64 length and the cluster's marker byte sit right before.
 std::size_t first_quant_payload(const std::string& archive) {
   const std::size_t at = archive.find("IMQT");
   EXPECT_NE(at, std::string::npos) << "no quantized section in archive";
   return at;
 }
+constexpr std::size_t kMarkerBeforePayload = 1 + sizeof(std::uint64_t);
 
-std::string save_quantized(const MisuseDetector& detector, nn::infer::QuantKind kind) {
-  std::ostringstream out(std::ios::binary);
-  BinaryWriter writer(out);
-  DetectorSaveOptions options;
-  options.quant = kind;
-  detector.save(writer, options);
-  return out.str();
+// Scores the same random action streams through both detectors' online
+// monitors and requires bit-identical verdicts.
+void expect_same_scores(const MisuseDetector& a, const MisuseDetector& b) {
+  ASSERT_EQ(a.vocab().size(), b.vocab().size());
+  const MonitorConfig config;
+  Rng rng(4);
+  for (int session = 0; session < 3; ++session) {
+    OnlineMonitor ma(a, config);
+    OnlineMonitor mb(b, config);
+    for (int step = 0; step < 20; ++step) {
+      const int action = static_cast<int>(rng.uniform_index(a.vocab().size()));
+      const auto ra = ma.observe(action);
+      const auto rb = mb.observe(action);
+      EXPECT_EQ(ra.ocsvm_scores, rb.ocsvm_scores);
+      EXPECT_EQ(ra.cluster_voted, rb.cluster_voted);
+      EXPECT_EQ(ra.likelihood_voted, rb.likelihood_voted);
+      EXPECT_EQ(ra.alarm, rb.alarm);
+    }
+  }
 }
 
-struct QuantEnabledGuard {
-  bool saved = nn::infer::quant_enabled();
-  ~QuantEnabledGuard() { nn::infer::set_quant_enabled(saved); }
-};
+TEST_F(PersistenceFixture, V3ArchiveLoadsWithQuantizationDisabled) {
+  // The int8 sections are checked and dropped: the legacy archive scores
+  // with the float weights, bit-identically to the float archive.
+  ASSERT_NE(int8_archive().find("IMQT"), std::string::npos);
+  const MisuseDetector legacy = load_from(int8_archive());
+  const MisuseDetector plain = load_from(float_archive());
+  EXPECT_EQ(legacy.degraded_cluster_count(), 0u);
+  EXPECT_EQ(legacy.cluster_count(), plain.cluster_count());
+  expect_same_scores(legacy, plain);
+}
 
-TEST_F(PersistenceFixture, QuantizedArchiveRoundTripAttachesAllClusters) {
-  QuantEnabledGuard guard;
-  nn::infer::set_quant_enabled(true);
-  const MisuseDetector loaded = load_from(save_quantized(*detector_, nn::infer::QuantKind::kInt8));
-  EXPECT_EQ(loaded.quant_degraded_count(), 0u);
-  for (std::size_t c = 0; c < loaded.cluster_count(); ++c) {
-    EXPECT_TRUE(loaded.cluster_quantized(c)) << "cluster " << c;
-  }
-  // kFloat precision ignores the quantized weights entirely, so a monitor
-  // over the quantized archive must match the float archive bit for bit.
-  const MisuseDetector float_loaded = load_from(*archive_);
-  const MonitorConfig config;
-  OnlineMonitor quant_monitor(loaded, config, MisuseDetector::ScoringPrecision::kFloat);
-  OnlineMonitor float_monitor(float_loaded, config);
-  for (std::size_t i = 0; i < store_->size(); ++i) {
-    if (store_->at(i).length() < 4) continue;
-    for (const int action : store_->at(i).view()) {
-      const auto a = quant_monitor.observe(action);
-      const auto b = float_monitor.observe(action);
-      EXPECT_EQ(a.likelihood_voted, b.likelihood_voted);
-      EXPECT_EQ(a.alarm, b.alarm);
-    }
-    break;
-  }
+TEST_F(PersistenceFixture, QuantizedArchiveRoundTripSavesTheFloatArchive) {
+  // save() writes zero quant markers, so re-saving the legacy archive
+  // reproduces the float archive byte for byte.
+  const MisuseDetector legacy = load_from(int8_archive());
+  std::ostringstream out(std::ios::binary);
+  BinaryWriter writer(out);
+  legacy.save(writer);
+  EXPECT_EQ(out.str(), float_archive());
 }
 
 TEST_F(PersistenceFixture, CorruptQuantSectionFallsBackToFloatWithoutCrashing) {
-  QuantEnabledGuard guard;
-  nn::infer::set_quant_enabled(true);
-  std::string archive = save_quantized(*detector_, nn::infer::QuantKind::kInt8);
+  std::string archive = int8_archive();
   const std::size_t payload = first_quant_payload(archive);
   ASSERT_LT(payload + 20, archive.size());
   archive[payload + 20] ^= 0x40;  // bit-rot inside the quant payload
 
-  const MisuseDetector loaded = load_from(archive);  // must not throw
-  EXPECT_EQ(loaded.quant_degraded_count(), 1u);
-  // Exactly one cluster lost its quantized weights; it must flag degraded
-  // quant, serve floats, and score bit-identically to the float archive.
-  const MisuseDetector float_loaded = load_from(*archive_);
-  std::size_t degraded_cluster = loaded.cluster_count();
-  for (std::size_t c = 0; c < loaded.cluster_count(); ++c) {
-    if (loaded.cluster_quant_degraded(c)) {
-      degraded_cluster = c;
-      EXPECT_FALSE(loaded.cluster_quantized(c));
-    }
-  }
-  ASSERT_LT(degraded_cluster, loaded.cluster_count());
-  std::span<const int> probe;
-  for (std::size_t i = 0; i < store_->size(); ++i) {
-    if (store_->at(i).length() >= 4) {
-      probe = store_->at(i).view();
-      break;
-    }
-  }
-  ASSERT_FALSE(probe.empty());
-  auto corrupt_state = loaded.make_cluster_state(degraded_cluster);
-  auto float_state = float_loaded.make_cluster_state(degraded_cluster);
-  std::vector<float> corrupt_probs, float_probs;
-  for (const int action : probe) {
-    loaded.step_cluster_into(degraded_cluster, corrupt_state, action, corrupt_probs);
-    float_loaded.step_cluster_into(degraded_cluster, float_state, action, float_probs);
-    EXPECT_EQ(corrupt_probs, float_probs);  // bit-exact float fallback
-  }
+  // The section fails its CRC; it was never going to be used, so the
+  // load succeeds and scores exactly like the float archive.
+  const MisuseDetector loaded = load_from(archive);
+  EXPECT_EQ(loaded.degraded_cluster_count(), 0u);
+  expect_same_scores(loaded, load_from(float_archive()));
 }
 
 TEST_F(PersistenceFixture, TruncationInsideQuantSectionThrows) {
-  QuantEnabledGuard guard;
-  nn::infer::set_quant_enabled(true);
-  std::string archive = save_quantized(*detector_, nn::infer::QuantKind::kFp16);
+  std::string archive = int8_archive();
   const std::size_t payload = first_quant_payload(archive);
   archive.resize(payload + 8);  // structural damage, not bit-rot
   EXPECT_THROW((void)load_from(archive), SerializeError);
 }
 
-TEST_F(PersistenceFixture, V3ArchiveLoadsWithQuantizationDisabled) {
-  QuantEnabledGuard guard;
-  nn::infer::set_quant_enabled(false);
-  const MisuseDetector loaded = load_from(save_quantized(*detector_, nn::infer::QuantKind::kInt8));
-  // Disabled != degraded: the section is intact, just unused.
-  EXPECT_EQ(loaded.quant_degraded_count(), 0u);
-  for (std::size_t c = 0; c < loaded.cluster_count(); ++c) {
-    EXPECT_FALSE(loaded.cluster_quantized(c));
+TEST_F(PersistenceFixture, UnknownQuantMarkerThrows) {
+  // The marker decides whether a section follows; a value no release
+  // ever wrote leaves the rest of the archive unparseable.
+  std::string archive = int8_archive();
+  const std::size_t marker = first_quant_payload(archive) - kMarkerBeforePayload;
+  ASSERT_EQ(archive[marker], 1) << "fixture marker is not int8";
+  archive[marker] = 3;
+  try {
+    (void)load_from(archive);
+    FAIL() << "archive with an unknown quant marker loaded";
+  } catch (const SerializeError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown quantization marker"), std::string::npos)
+        << e.what();
   }
-  // With the quantized weights ignored, scoring is the float path — bit-
-  // identical to the unquantized archive.
-  const MisuseDetector float_loaded = load_from(*archive_);
-  const MonitorConfig config;
-  OnlineMonitor a(loaded, config);
-  OnlineMonitor b(float_loaded, config);
-  for (std::size_t i = 0; i < store_->size(); ++i) {
-    if (store_->at(i).length() < 4) continue;
-    for (const int action : store_->at(i).view()) {
-      const auto ra = a.observe(action);
-      const auto rb = b.observe(action);
-      EXPECT_EQ(ra.likelihood_voted, rb.likelihood_voted);
-      EXPECT_EQ(ra.alarm, rb.alarm);
-    }
-    break;
-  }
-}
-
-TEST_F(PersistenceFixture, QuantLoadFailpointDegradesEveryCluster) {
-  if (!failpoints::compiled_in()) GTEST_SKIP() << "failpoints compiled out";
-  QuantEnabledGuard guard;
-  nn::infer::set_quant_enabled(true);
-  const std::string archive = save_quantized(*detector_, nn::infer::QuantKind::kInt8);
-  failpoints::configure("detector.load.quant=always");
-  const MisuseDetector loaded = load_from(archive);
-  failpoints::clear();
-  EXPECT_EQ(loaded.quant_degraded_count(), loaded.cluster_count());
-  for (std::size_t c = 0; c < loaded.cluster_count(); ++c) {
-    EXPECT_FALSE(loaded.cluster_quantized(c));
-  }
-  // Still serves — from the float weights, not the fallback chain.
-  EXPECT_EQ(loaded.degraded_cluster_count(), 0u);
 }
 
 TEST_F(PersistenceFixture, AllLstmSectionsCorruptStillServesFromMarkov) {

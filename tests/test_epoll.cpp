@@ -2,7 +2,7 @@
 // survive adversarial producers (slow-loris drips, oversized lines,
 // half-closes, consumers that stop reading) and high connection churn
 // without leaking a connection or stalling the loop thread. Scoring
-// byte-identity between --io=epoll and --io=threads is pinned
+// byte-identity between the TCP front end and stdin pipe mode is pinned
 // separately in test_serve_process.cpp; these tests exercise the loop
 // in isolation with an echo handler.
 #include <gtest/gtest.h>

@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "temp_dir.hpp"
+
 namespace misuse::core {
 namespace {
 
@@ -79,7 +81,7 @@ TEST(ExperimentConfig, FingerprintIgnoresPresentationKnobs) {
 }
 
 TEST(Experiment, PrepareTrainsAndCachesDetector) {
-  const std::string dir = ::testing::TempDir() + "/misuse_experiment_cache";
+  const std::string dir = misuse::testing_support::test_temp_path("misuse_experiment_cache");
   std::filesystem::remove_all(dir);
   auto config = config_from({"--sessions=250", "--actions=60", "--hidden=8", "--epochs=2",
                              "--lda-iters=10", "--clusters=4", "--min-cluster-sessions=5",
@@ -110,7 +112,7 @@ TEST(Experiment, PrepareTrainsAndCachesDetector) {
 }
 
 TEST(Experiment, UnitedTestSetCoversAllClusters) {
-  const std::string dir = ::testing::TempDir() + "/misuse_experiment_united";
+  const std::string dir = misuse::testing_support::test_temp_path("misuse_experiment_united");
   std::filesystem::remove_all(dir);
   auto config = config_from({"--sessions=250", "--actions=60", "--hidden=8", "--epochs=2",
                              "--lda-iters=10", "--clusters=4", "--min-cluster-sessions=5",
@@ -128,7 +130,7 @@ TEST(Experiment, UnitedTestSetCoversAllClusters) {
 }
 
 TEST(Experiment, CorruptCacheFallsBackToTraining) {
-  const std::string dir = ::testing::TempDir() + "/misuse_experiment_corrupt";
+  const std::string dir = misuse::testing_support::test_temp_path("misuse_experiment_corrupt");
   std::filesystem::remove_all(dir);
   auto config = config_from({"--sessions=250", "--actions=60", "--hidden=8", "--epochs=2",
                              "--lda-iters=10", "--clusters=4", "--min-cluster-sessions=5",

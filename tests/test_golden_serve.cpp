@@ -14,6 +14,13 @@
 //
 // which retrains the tiny detector, rewrites the trace, and re-captures
 // the expected output in tests/golden/.
+//
+// tests/golden/detector_v3_int8.bin is detector.bin as an older release
+// published it with `misusedet_registry publish --quantize=int8`: the
+// same archive plus an int8 weight section per cluster. The loader
+// drops those sections, so it must serve the same bytes as detector.bin.
+// It cannot be regenerated (the quantizer is gone); regenerating
+// detector.bin orphans it.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -34,6 +41,7 @@ namespace {
 
 const std::string kGoldenDir = MISUSEDET_GOLDEN_DIR;
 const std::string kDetectorPath = kGoldenDir + "/detector.bin";
+const std::string kInt8DetectorPath = kGoldenDir + "/detector_v3_int8.bin";
 const std::string kTracePath = kGoldenDir + "/trace.ndjson";
 const std::string kExpectedPath = kGoldenDir + "/expected_output.ndjson";
 
@@ -95,8 +103,26 @@ void regenerate_detector_and_trace() {
   write_file(kTracePath, trace.str());
 }
 
-std::string run_serve_scalar(const std::string& out_path) {
-  const std::string command = std::string(MISUSEDET_SERVE_BIN) + " --model=" + kDetectorPath +
+// Byte identity, with a readable first-divergence report on mismatch.
+void expect_same_lines(const std::string& expected, const std::string& actual) {
+  if (actual == expected) return;
+  std::istringstream a(actual), e(expected);
+  std::string al, el;
+  std::size_t line = 0;
+  while (true) {
+    ++line;
+    const bool ga = static_cast<bool>(std::getline(a, al));
+    const bool ge = static_cast<bool>(std::getline(e, el));
+    if (!ga && !ge) break;
+    ASSERT_EQ(el, al) << "first divergence at line " << line;
+    ASSERT_EQ(ge, ga) << "line count diverges at line " << line;
+  }
+  FAIL() << "outputs differ in bytes but not line content (line endings?)";
+}
+
+std::string run_serve_scalar(const std::string& out_path,
+                             const std::string& model_path = kDetectorPath) {
+  const std::string command = std::string(MISUSEDET_SERVE_BIN) + " --model=" + model_path +
                               " --infer=scalar --shards=1 --threads=1 --batch=64 < " +
                               kTracePath + " > " + out_path + " 2> " + out_path + ".err";
   const int rc = std::system(command.c_str());
@@ -129,22 +155,23 @@ TEST(GoldenServe, ScalarOutputByteIdenticalToCommittedGolden) {
   }
   ASSERT_TRUE(std::filesystem::exists(kExpectedPath))
       << kExpectedPath << " missing — regenerate with MISUSEDET_REGEN_GOLDEN=1";
-  const std::string expected = read_file(kExpectedPath);
-  // Byte identity, with a readable first-divergence report on mismatch.
-  if (actual != expected) {
-    std::istringstream a(actual), e(expected);
-    std::string al, el;
-    std::size_t line = 0;
-    while (true) {
-      ++line;
-      const bool ga = static_cast<bool>(std::getline(a, al));
-      const bool ge = static_cast<bool>(std::getline(e, el));
-      if (!ga && !ge) break;
-      ASSERT_EQ(el, al) << "first divergence at line " << line;
-      ASSERT_EQ(ge, ga) << "line count diverges at line " << line;
-    }
-    FAIL() << "outputs differ in bytes but not line content (line endings?)";
-  }
+  expect_same_lines(read_file(kExpectedPath), actual);
+}
+
+// The legacy int8 archive, served with its quantized sections dropped,
+// reproduces the float archive's output: the committed golden on the
+// portable build, the same build's float run everywhere.
+TEST(GoldenServe, LegacyInt8ArchiveServesTheFloatGolden) {
+  if (regen_requested()) GTEST_SKIP() << "the int8 fixture is not regenerated";
+  ASSERT_TRUE(std::filesystem::exists(kInt8DetectorPath)) << kInt8DetectorPath << " missing";
+  const std::string actual = run_serve_scalar(
+      testing_support::test_temp_path("misusedet_golden_int8.ndjson"), kInt8DetectorPath);
+  ASSERT_FALSE(actual.empty()) << "serve produced no output";
+#if !defined(__FMA__)
+  expect_same_lines(read_file(kExpectedPath), actual);
+#endif
+  expect_same_lines(
+      run_serve_scalar(testing_support::test_temp_path("misusedet_golden_float.ndjson")), actual);
 }
 
 // The scalar engine contract makes two runs of the same build on the

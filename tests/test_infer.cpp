@@ -11,43 +11,31 @@
 //   * avx2 kernels — ULP-bounded against scalar per step (vectorized
 //     exp approximation, FMA re-association); the fused batch kernels
 //     (register-blocked broadcast-FMA) must sit in the same envelope.
-//   * quantized weights — different weights entirely; gated by the
-//     measured verdict-flip check (core/quant_gate.hpp).
-//   * packing — a pure permutation; pack -> unpack is lossless.
+//   * packing — a plain copy of the model's weights, bit for bit.
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <limits>
 #include <vector>
 
-#include "core/detector.hpp"
-#include "core/quant_gate.hpp"
 #include "nn/dense.hpp"
 #include "nn/infer/dispatch.hpp"
 #include "nn/infer/engine.hpp"
 #include "nn/infer/packed.hpp"
-#include "nn/infer/quant.hpp"
 #include "nn/lstm.hpp"
 #include "nn/next_action_model.hpp"
-#include "synth/portal.hpp"
 #include "util/rng.hpp"
-#include "util/serialize.hpp"
 
 namespace misuse::nn::infer {
 namespace {
 
-// The mode/quant switches are process globals; every test restores them.
+// The mode switch is a process global; every test restores it.
 struct ModeGuard {
   InferMode mode = infer_mode();
-  bool quant = quant_enabled();
-  ~ModeGuard() {
-    set_infer_mode(mode);
-    set_quant_enabled(quant);
-  }
+  ~ModeGuard() { set_infer_mode(mode); }
 };
 
 std::vector<int> random_actions(std::size_t n, std::size_t vocab, std::uint64_t seed) {
@@ -118,23 +106,38 @@ TEST(InferScalar, BitIdenticalToReferenceAcrossShapesAndSeeds) {
   }
 }
 
-TEST(InferScalar, AutoModeResolvesToBitIdenticalKernels) {
-  ModeGuard guard;
+TEST(InferScalar, DefaultModeResolvesToBitIdenticalKernels) {
+  // Without MISUSEDET_INFER the process starts on the scalar kernels,
+  // which must reproduce the reference forward bit for bit.
+  if (std::getenv("MISUSEDET_INFER") != nullptr) GTEST_SKIP() << "MISUSEDET_INFER is set";
+  EXPECT_EQ(infer_mode(), InferMode::kScalar);
+  EXPECT_EQ(effective_infer_mode(), InferMode::kScalar);
   const NextActionModel model = make_model(23, 48, 11);
   const auto engine = LstmInferEngine::build(model);
   ASSERT_NE(engine, nullptr);
-  const auto actions = random_actions(60, 23, 123);
-
-  set_infer_mode(InferMode::kAuto);
   ModelState ref_state = model.make_state();
   EngineState eng_state = engine->make_state();
   EngineScratch scratch;
   std::vector<float> ref_probs, eng_probs;
-  for (const int a : actions) {
+  for (const int a : random_actions(60, 23, 123)) {
     model.step_into(ref_state, a, ref_probs);
     engine->step(eng_state, a, eng_probs, scratch);
     ASSERT_TRUE(bit_equal(ref_probs, eng_probs));
   }
+}
+
+TEST(InferDispatch, ParsesExactlyTheScalarAndAvx2Modes) {
+  for (const InferMode mode : {InferMode::kScalar, InferMode::kAvx2}) {
+    EXPECT_EQ(parse_infer_mode(infer_mode_name(mode)), mode);
+  }
+  for (const char* name : {"auto", "reference", "int8", ""}) {
+    EXPECT_FALSE(parse_infer_mode(name).has_value()) << name;
+  }
+  ModeGuard guard;
+  set_infer_mode(InferMode::kScalar);
+  EXPECT_EQ(effective_infer_mode(), InferMode::kScalar);
+  set_infer_mode(InferMode::kAvx2);
+  EXPECT_EQ(effective_infer_mode(), avx2_supported() ? InferMode::kAvx2 : InferMode::kScalar);
 }
 
 TEST(InferScalar, BatchBitIdenticalToSequential) {
@@ -217,10 +220,8 @@ TEST(InferScalar, FusedDeferredBatchBitIdenticalToEagerStep) {
         state_ptrs[i] = &fused[i];
         prob_ptrs[i] = &fused_probs[i];
       }
-      const bool deferred_step = t % 2 == 0;
-      const bool deferred = engine->step_batch(state_ptrs, actions, prob_ptrs, scratch,
-                                               /*use_quant=*/false, deferred_step);
-      ASSERT_EQ(deferred, deferred_step) << "n=" << n;
+      const bool deferred = t % 2 == 0;
+      engine->step_batch(state_ptrs, actions, prob_ptrs, scratch, deferred);
       for (std::size_t i = 0; i < n; ++i) {
         engine->step(eager[i], actions[i], eager_probs, scratch);
         ASSERT_TRUE(bit_equal(eager[i].h, fused[i].h)) << "n=" << n << " t=" << t << " i=" << i;
@@ -316,10 +317,14 @@ TEST(InferAvx2, FusedBatchWithinUlpOfScalar) {
   RecordProperty("max_ulp", static_cast<int>(worst));
 }
 
-// --- packing: pure permutation, lossless --------------------------------
+// --- packing: a plain copy, lossless ------------------------------------
 
 TEST(InferPacking, PackUnpackLosslessOver100RandomShapes) {
   Rng shape_rng(2026);
+  const auto same_bits = [](const std::vector<float>& packed, const Matrix& source) {
+    return packed.size() == source.size() &&
+           std::memcmp(packed.data(), source.data(), packed.size() * sizeof(float)) == 0;
+  };
   for (int k = 0; k < 100; ++k) {
     const std::size_t vocab = 3 + shape_rng.uniform_index(38);
     const std::size_t hidden = 2 + shape_rng.uniform_index(46);
@@ -327,119 +332,14 @@ TEST(InferPacking, PackUnpackLosslessOver100RandomShapes) {
     const auto* cell = dynamic_cast<const Lstm*>(&model.layer(0));
     ASSERT_NE(cell, nullptr);
     const PackedLstm packed = pack_lstm(*cell, model.head());
-
-    // Direct copies must match the source matrices bit for bit.
-    ASSERT_EQ(packed.wx.size(), cell->wx().size());
-    EXPECT_EQ(std::memcmp(packed.wx.data(), cell->wx().data(),
-                          packed.wx.size() * sizeof(float)),
-              0);
-    ASSERT_EQ(packed.wh.size(), cell->wh().size());
-    EXPECT_EQ(std::memcmp(packed.wh.data(), cell->wh().data(),
-                          packed.wh.size() * sizeof(float)),
-              0);
-    ASSERT_EQ(packed.head_w.size(), model.head().weights().size());
-    EXPECT_EQ(std::memcmp(packed.head_w.data(), model.head().weights().data(),
-                          packed.head_w.size() * sizeof(float)),
-              0);
-
-    // Transposed copies invert exactly.
-    const Matrix wh = unpack_wh(packed);
-    ASSERT_EQ(wh.rows(), cell->wh().rows());
-    ASSERT_EQ(wh.cols(), cell->wh().cols());
-    EXPECT_EQ(std::memcmp(wh.data(), cell->wh().data(), wh.size() * sizeof(float)), 0)
-        << "case " << k << " vocab=" << vocab << " hidden=" << hidden;
-    const Matrix hw = unpack_head_w(packed);
-    ASSERT_EQ(hw.rows(), model.head().weights().rows());
-    ASSERT_EQ(hw.cols(), model.head().weights().cols());
-    EXPECT_EQ(std::memcmp(hw.data(), model.head().weights().data(),
-                          hw.size() * sizeof(float)),
-              0)
-        << "case " << k << " vocab=" << vocab << " hidden=" << hidden;
-  }
-}
-
-// --- quantization: measured verdict-flip gate ---------------------------
-
-class QuantGateFixture : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    synth::PortalConfig pc;
-    pc.sessions = 150;
-    pc.action_count = 50;
-    pc.seed = 21;
-    const SessionStore store = synth::Portal(pc).generate();
-    core::DetectorConfig dc;
-    dc.ensemble.topic_counts = {8, 10};
-    dc.ensemble.iterations = 8;
-    dc.expert.target_clusters = 3;
-    dc.expert.min_cluster_sessions = 5;
-    dc.lm.hidden = 16;
-    dc.lm.epochs = 2;
-    dc.lm.patience = 0;
-    detector_ = new core::MisuseDetector(core::MisuseDetector::train(store, dc));
-  }
-  static void TearDownTestSuite() {
-    delete detector_;
-    detector_ = nullptr;
-  }
-
-  static core::MisuseDetector quantized_reload(QuantKind kind) {
-    std::ostringstream out(std::ios::binary);
-    BinaryWriter writer(out);
-    core::DetectorSaveOptions options;
-    options.quant = kind;
-    detector_->save(writer, options);
-    std::istringstream in(out.str(), std::ios::binary);
-    BinaryReader reader(in);
-    return core::MisuseDetector::load(reader);
-  }
-
-  static core::MisuseDetector* detector_;
-};
-
-core::MisuseDetector* QuantGateFixture::detector_ = nullptr;
-
-TEST_F(QuantGateFixture, Int8FlipRateUnderFixedThreshold) {
-  ModeGuard guard;
-  set_infer_mode(InferMode::kAuto);
-  const core::MisuseDetector loaded = quantized_reload(QuantKind::kInt8);
-  for (std::size_t c = 0; c < loaded.cluster_count(); ++c) {
-    ASSERT_TRUE(loaded.cluster_quantized(c));
-  }
-  core::QuantGateConfig gate;
-  gate.max_flip_rate = 0.01;  // the registry's default publish threshold
-  gate.sessions_per_cluster = 12;
-  gate.session_length = 32;
-  const core::QuantGateResult result = core::measure_quant_gate(loaded, gate);
-  EXPECT_GT(result.steps, 0u);
-  EXPECT_LE(result.flip_rate, 0.01) << result.verdict_flips << "/" << result.steps;
-  EXPECT_TRUE(result.pass) << "max_loss_delta=" << result.max_loss_delta;
-}
-
-TEST_F(QuantGateFixture, Fp16FlipRateUnderFixedThreshold) {
-  ModeGuard guard;
-  set_infer_mode(InferMode::kAuto);
-  const core::MisuseDetector loaded = quantized_reload(QuantKind::kFp16);
-  core::QuantGateConfig gate;
-  gate.max_flip_rate = 0.01;
-  gate.sessions_per_cluster = 12;
-  gate.session_length = 32;
-  const core::QuantGateResult result = core::measure_quant_gate(loaded, gate);
-  EXPECT_GT(result.steps, 0u);
-  EXPECT_LE(result.flip_rate, 0.01);
-  EXPECT_TRUE(result.pass);
-}
-
-// --- fp16 converters ----------------------------------------------------
-
-TEST(InferQuant, HalfRoundTripExactForRepresentableValues) {
-  // Every binary16 value decodes to a float that re-encodes to the same
-  // bits (NaNs excluded — payload bits may legitimately differ).
-  for (std::uint32_t bits = 0; bits < 0x10000; ++bits) {
-    const auto h = static_cast<std::uint16_t>(bits);
-    const float f = half_to_float(h);
-    if (std::isnan(f)) continue;
-    EXPECT_EQ(float_to_half(f), h) << "half bits 0x" << std::hex << bits;
+    EXPECT_EQ(packed.vocab, vocab);
+    EXPECT_EQ(packed.hidden, hidden);
+    EXPECT_EQ(packed.head_out, vocab);
+    EXPECT_TRUE(same_bits(packed.wx, cell->wx())) << "case " << k;
+    EXPECT_TRUE(same_bits(packed.wh, cell->wh())) << "case " << k;
+    EXPECT_TRUE(same_bits(packed.bias, cell->bias())) << "case " << k;
+    EXPECT_TRUE(same_bits(packed.head_w, model.head().weights())) << "case " << k;
+    EXPECT_TRUE(same_bits(packed.head_b, model.head().bias())) << "case " << k;
   }
 }
 

@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "temp_dir.hpp"
+
 namespace misuse {
 namespace {
 
@@ -108,7 +110,7 @@ TEST(LogIo, SharedVocabAcrossSessions) {
 }
 
 TEST(LogIo, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/misuse_log_io_test.log";
+  const std::string path = misuse::testing_support::test_temp_path("misuse_log_io_test.log");
   write_session_log_file(sample_store(), path);
   const SessionStore loaded = read_session_log_file(path);
   EXPECT_EQ(loaded.size(), 2u);

@@ -340,82 +340,56 @@ TEST_F(ServeProcessFixture, SigtermDrainsOpenTcpSessions) {
   }
 }
 
-// Differential lockdown of the epoll front end: the identical trace,
-// split across two TCP connections in lockstep, must produce byte-equal
-// per-connection verdict streams and byte-equal shutdown session
-// reports under --io=threads and --io=epoll. Both front ends feed
-// ScoringServer::submit_batch (threads: one event per call; epoll: all
-// lines of a wakeup), so any divergence is a framing, batching or reply
-// routing bug in the front end. The pipelined leg writes each
-// connection's whole stream at once (sessions pinned to a connection,
-// so several events of one session share a wakeup, plus a malformed
-// line and an unknown action) and half-closes; its replies must equal
-// the threads front end's lockstep replies byte for byte.
-TEST_F(ServeProcessFixture, EpollFrontEndMatchesThreadsByteForByte) {
-  struct TcpRun {
+// Differential lockdown of the TCP front end against stdin pipe mode.
+// Pipe mode with --batch=1 scores one event at a time in input order, so
+// its stdout is one verdict line per input line (step or error record)
+// followed by the shutdown session reports. The TCP runs must match it
+// byte for byte on the same event order:
+//   * lockstep — send one event, read its verdict — over two connections
+//     taking the trace's lines alternately, so the server sees exactly
+//     the trace order;
+//   * session-pinned streams (a malformed line and an unknown action in
+//     connection 0's middle), sent lockstep connection after connection,
+//     and sent pipelined: each connection's whole stream in one write,
+//     then a half-close. Pipelining puts several events of one session
+//     into one epoll wakeup (one fused submit_batch), so any divergence
+//     is a framing, batching or reply-routing bug in the front end.
+TEST_F(ServeProcessFixture, TcpFrontEndMatchesPipeModeByteForByte) {
+  struct Run {
     std::vector<std::vector<std::string>> per_connection;
     std::vector<std::string> reports;
   };
-  const auto run_mode = [&](const std::string& io_mode) {
-    TcpRun result;
-    ServeProcess proc({"--model=" + *model_path_, "--listen=0", "--io=" + io_mode});
-    const std::uint16_t port = proc.wait_for_port();
-    EXPECT_GT(port, 0);
-    std::vector<TcpStream> clients;
-    clients.push_back(tcp_connect("127.0.0.1", port));
-    clients.push_back(tcp_connect("127.0.0.1", port));
-    std::vector<std::unique_ptr<LineReader>> readers;
-    for (auto& client : clients) readers.push_back(std::make_unique<LineReader>(client.io()));
-    result.per_connection.resize(clients.size());
-    // Lockstep (send one event, read its verdict) pins the server-side
-    // arrival order, so both io modes score the exact same sequence.
-    for (std::size_t i = 0; i < trace_->size(); ++i) {
-      const std::size_t c = i % clients.size();
-      clients[c].io() << (*trace_)[i] << "\n";
-      clients[c].io().flush();
-      std::string verdict;
-      if (!readers[c]->next(verdict)) {
-        ADD_FAILURE() << io_mode << ": no verdict for event " << i;
-        break;
-      }
-      result.per_connection[c].push_back(verdict);
+  // Splits pipe-mode stdout into per-connection verdicts: line i of
+  // `lines` belongs to connection owner[i].
+  const auto run_pipe = [&](const std::vector<std::string>& lines,
+                            const std::vector<std::size_t>& owner, std::size_t connections) {
+    Run result;
+    ServeProcess proc({"--model=" + *model_path_, "--batch=1"});
+    int status = 0;
+    const auto out = feed_and_drain(proc, lines, status);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "pipe mode";
+    result.reports = session_reports(out);
+    EXPECT_EQ(out.size(), lines.size() + result.reports.size()) << "one verdict per line";
+    result.per_connection.resize(connections);
+    for (std::size_t i = 0; i < lines.size() && i < out.size(); ++i) {
+      result.per_connection[owner[i]].push_back(out[i]);
     }
-    for (auto& client : clients) client.shutdown_write();
-    proc.signal(SIGTERM);
-    const auto lines = drain(proc.out());
-    const int status = proc.wait();
-    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << io_mode;
-    result.reports = session_reports(lines);
     return result;
   };
-
-  const TcpRun threads = run_mode("threads");
-  const TcpRun epoll = run_mode("epoll");
-  ASSERT_EQ(threads.per_connection.size(), epoll.per_connection.size());
-  for (std::size_t c = 0; c < threads.per_connection.size(); ++c) {
-    EXPECT_EQ(threads.per_connection[c], epoll.per_connection[c]) << "connection " << c;
-  }
-  ASSERT_EQ(epoll.reports.size(), 6u) << "one shutdown report per session";
-  EXPECT_EQ(threads.reports, epoll.reports);
-
-  // Session-pinned stream per connection, with a malformed line and an
-  // unknown action in connection 0's middle.
-  std::vector<std::vector<std::string>> streams(2);
-  for (std::size_t i = 0; i < trace_->size(); ++i) {
-    streams[(*trace_sessions_)[i] % 2].push_back((*trace_)[i]);
-  }
-  const auto mid = static_cast<std::ptrdiff_t>(streams[0].size() / 2);
-  streams[0].insert(streams[0].begin() + mid,
-                    {R"({"user_id":"u0","session_id":)",
-                     event_line("u0", "s-unknown", "no_such_action", 1.5)});
-  const auto run_pinned = [&](const std::string& io_mode, bool pipelined) {
-    TcpRun result;
-    ServeProcess proc({"--model=" + *model_path_, "--listen=0", "--io=" + io_mode});
+  // streams[c] goes out on connection c: lockstep, taking the next line
+  // of connection order[k] at step k, or pipelined with a half-close.
+  const auto run_listen = [&](const std::vector<std::vector<std::string>>& streams,
+                           const std::vector<std::size_t>& order, bool pipelined) {
+    Run result;
+    ServeProcess proc({"--model=" + *model_path_, "--listen=0"});
     const std::uint16_t port = proc.wait_for_port();
     EXPECT_GT(port, 0);
     std::vector<TcpStream> clients;
+    std::vector<std::unique_ptr<LineReader>> readers;
     for (std::size_t c = 0; c < streams.size(); ++c) {
       clients.push_back(tcp_connect("127.0.0.1", port));
+      clients.back().set_read_timeout(30.0);  // a missing reply fails, never hangs
+      readers.push_back(std::make_unique<LineReader>(clients.back().io()));
     }
     result.per_connection.resize(clients.size());
     if (pipelined) {
@@ -433,40 +407,75 @@ TEST_F(ServeProcessFixture, EpollFrontEndMatchesThreadsByteForByte) {
         result.per_connection[c] = drain(clients[c].io());
       }
     } else {
-      for (std::size_t c = 0; c < clients.size(); ++c) {
-        LineReader reader(clients[c].io());
-        for (const auto& line : streams[c]) {
-          clients[c].io() << line << "\n";
-          clients[c].io().flush();
-          std::string verdict;
-          if (!reader.next(verdict)) {
-            ADD_FAILURE() << io_mode << ": no verdict for " << line;
-            break;
-          }
-          result.per_connection[c].push_back(verdict);
+      std::vector<std::size_t> next(clients.size(), 0);
+      for (const std::size_t c : order) {
+        const std::string& line = streams[c][next[c]++];
+        clients[c].io() << line << "\n";
+        clients[c].io().flush();
+        std::string verdict;
+        if (!readers[c]->next(verdict)) {
+          ADD_FAILURE() << "no verdict for " << line;
+          break;
         }
+        result.per_connection[c].push_back(verdict);
       }
       for (auto& client : clients) client.shutdown_write();
     }
     proc.signal(SIGTERM);
     const auto lines = drain(proc.out());
     const int status = proc.wait();
-    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << io_mode;
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << (pipelined ? "pipelined" : "lockstep");
     result.reports = session_reports(lines);
     return result;
   };
-  const TcpRun lockstep = run_pinned("threads", false);
-  const TcpRun pipelined = run_pinned("epoll", true);
-  for (std::size_t c = 0; c < streams.size(); ++c) {
-    ASSERT_EQ(lockstep.per_connection[c].size(), streams[c].size()) << "connection " << c;
-    EXPECT_EQ(lockstep.per_connection[c], pipelined.per_connection[c]) << "connection " << c;
+  const auto expect_same = [](const Run& expected, const Run& actual, const char* what) {
+    ASSERT_EQ(expected.per_connection.size(), actual.per_connection.size()) << what;
+    for (std::size_t c = 0; c < expected.per_connection.size(); ++c) {
+      EXPECT_EQ(expected.per_connection[c], actual.per_connection[c])
+          << what << ", connection " << c;
+    }
+    ASSERT_EQ(actual.reports.size(), 6u) << what << ": one shutdown report per session";
+    EXPECT_EQ(expected.reports, actual.reports) << what;
+  };
+
+  // Trace order, connections alternating.
+  std::vector<std::vector<std::string>> alternating(2);
+  std::vector<std::size_t> alternating_owner;
+  for (std::size_t i = 0; i < trace_->size(); ++i) {
+    alternating[i % 2].push_back((*trace_)[i]);
+    alternating_owner.push_back(i % 2);
   }
-  EXPECT_NE(lockstep.per_connection[0][static_cast<std::size_t>(mid)].find("\"error\""),
+  expect_same(run_pipe(*trace_, alternating_owner, 2),
+              run_listen(alternating, alternating_owner, false), "alternating lockstep");
+
+  // Session-pinned stream per connection, with a malformed line and an
+  // unknown action in connection 0's middle; lockstep order is
+  // connection 0's whole stream, then connection 1's.
+  std::vector<std::vector<std::string>> streams(2);
+  for (std::size_t i = 0; i < trace_->size(); ++i) {
+    streams[(*trace_sessions_)[i] % 2].push_back((*trace_)[i]);
+  }
+  const auto mid = static_cast<std::ptrdiff_t>(streams[0].size() / 2);
+  streams[0].insert(streams[0].begin() + mid,
+                    {R"({"user_id":"u0","session_id":)",
+                     event_line("u0", "s-unknown", "no_such_action", 1.5)});
+  std::vector<std::string> pinned_lines;
+  std::vector<std::size_t> pinned_owner;
+  for (std::size_t c = 0; c < streams.size(); ++c) {
+    pinned_lines.insert(pinned_lines.end(), streams[c].begin(), streams[c].end());
+    pinned_owner.insert(pinned_owner.end(), streams[c].size(), c);
+  }
+  const Run pipe = run_pipe(pinned_lines, pinned_owner, 2);
+  for (std::size_t c = 0; c < streams.size(); ++c) {
+    ASSERT_EQ(pipe.per_connection[c].size(), streams[c].size()) << "connection " << c;
+  }
+  EXPECT_NE(pipe.per_connection[0][static_cast<std::size_t>(mid)].find("\"error\""),
             std::string::npos);
-  EXPECT_NE(lockstep.per_connection[0][static_cast<std::size_t>(mid) + 1].find("unknown action"),
+  EXPECT_NE(pipe.per_connection[0][static_cast<std::size_t>(mid) + 1].find("unknown action"),
             std::string::npos);
-  ASSERT_EQ(pipelined.reports.size(), 6u) << "one shutdown report per session";
-  EXPECT_EQ(lockstep.reports, pipelined.reports);
+  expect_same(pipe, run_listen(streams, pinned_owner, false), "pinned lockstep");
+  expect_same(pipe, run_listen(streams, pinned_owner, true), "pinned pipelined");
 }
 
 // kill -9 mid-replay, restart on the same --wal-dir with --resume-replay,
@@ -509,12 +518,10 @@ TEST_F(ServeProcessFixture, Kill9RecoveryMatchesBaseline) {
 
 // CliArgs folds "--no-X" into key "X" with value "false", so main must
 // read negative flags through their positive name; a consumption bug
-// once left --no-steps and --no-quant silently inert. Pin both through
-// the real binary: --no-steps suppresses per-step verdicts (reports
-// still drain), and --no-quant flips the quant gate before model load
-// (visible in the kernel-selection log line).
+// once left --no-steps silently inert. Pin it through the real binary:
+// --no-steps suppresses per-step verdicts while reports still drain.
 TEST_F(ServeProcessFixture, NegativeFlagsReachTheServer) {
-  ServeProcess proc({"--model=" + *model_path_, "--batch=4", "--no-steps", "--no-quant"});
+  ServeProcess proc({"--model=" + *model_path_, "--batch=4", "--no-steps"});
   int status = 0;
   const auto lines = feed_and_drain(proc, *trace_, status);
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
@@ -522,12 +529,6 @@ TEST_F(ServeProcessFixture, NegativeFlagsReachTheServer) {
     EXPECT_EQ(line.find("\"type\":\"step\""), std::string::npos) << line;
   }
   EXPECT_EQ(session_reports(lines).size(), 6u) << "one report per drained session";
-  const auto logs = drain(proc.err());
-  EXPECT_TRUE(std::any_of(logs.begin(), logs.end(),
-                          [](const std::string& l) {
-                            return l.find("quantized sections off") != std::string::npos;
-                          }))
-      << "--no-quant did not reach the quant gate";
 }
 
 // EOF drain without --metrics-out: the final metrics snapshot must still

@@ -5,6 +5,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "temp_dir.hpp"
+
 namespace misuse {
 namespace {
 
@@ -53,7 +55,7 @@ TEST(Table, NumFormatsPrecision) {
 TEST(Table, WriteCsvFileCreatesDirectories) {
   Table t({"x"});
   t.add_row({"1"});
-  const std::string path = ::testing::TempDir() + "/misuse_table_test/sub/out.csv";
+  const std::string path = misuse::testing_support::test_temp_path("misuse_table_test/sub/out.csv");
   t.write_csv_file(path);
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
