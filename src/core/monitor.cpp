@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <optional>
 
 #include "core/observability.hpp"
 #include "util/thread_pool.hpp"
@@ -134,7 +135,8 @@ void OnlineMonitor::observe_batch(const MisuseDetector& detector,
   // well inside the monitor's <5% overhead budget (see DESIGN.md). The
   // Timer only runs when recording is on.
   const bool record = metrics_enabled();
-  Timer batch_timer;
+  std::optional<Timer> batch_timer;
+  if (record) batch_timer.emplace();
   // Routing/alarm halves first (independent per monitor), then one fused
   // model advance per cluster across the whole batch.
   for (std::size_t i = 0; i < monitors.size(); ++i) {
@@ -166,7 +168,7 @@ void OnlineMonitor::observe_batch(const MisuseDetector& detector,
     }
   }
   if (record) {
-    const double per_step = batch_timer.seconds() / static_cast<double>(monitors.size());
+    const double per_step = batch_timer->seconds() / static_cast<double>(monitors.size());
     for (std::size_t i = 0; i < monitors.size(); ++i) {
       monitors[i]->record_step(results[i], per_step);
     }

@@ -1,16 +1,18 @@
 // Inference-only LSTM forward for the paper architecture (one token-input
 // LSTM layer + dense softmax head — the shape every trained detector
-// cluster uses). Weights are packed once at detector-load time
-// (nn/infer/packed.hpp); per-step scoring then runs allocation-free
-// through the kernel table selected by nn/infer/dispatch.hpp.
+// cluster uses). Weights are packed once at detector-load time, the GEMV
+// operands column-block-major (nn/infer/packed.hpp); per-step scoring
+// then runs allocation-free through the kernel table selected by
+// nn/infer/dispatch.hpp, whose GEMVs keep a register tile of several
+// batch rows across the whole hidden loop (nn/infer/blocked_gemv.hpp).
 //
-// Contract: with the scalar kernels, step() and step_batch() (fused
-// weight-reusing batch kernels, deferred heads recovered by
-// finish_probs) are bit-identical to NextActionModel::step_into on the
-// same weights and state — proven by tests/test_infer.cpp — so every
-// determinism guarantee (WAL replay, hot swap, server-vs-offline,
-// cross-session batches) survives the fast path. The avx2 kernels are
-// ULP-bounded instead.
+// Contract: with the scalar kernels, step() and step_batch() (one fused
+// call over all rows, deferred heads recovered by finish_probs) are
+// bit-identical to NextActionModel::step_into on the same weights and
+// state — proven by tests/test_infer.cpp — so every determinism
+// guarantee (WAL replay, hot swap, server-vs-offline, cross-session
+// batches) survives the fast path. The avx2 kernels are ULP-bounded
+// instead.
 #pragma once
 
 #include <algorithm>
@@ -66,9 +68,10 @@ class LstmInferEngine {
             EngineScratch& scratch) const;
 
   /// Batched variant: states[i] advances on actions[i] into *probs[i].
-  /// Rows run through the fused batch kernels (one row: the one-row
-  /// kernels); with the scalar table the result is bit-identical to n
-  /// calls of step() in order, with avx2 it stays in the ULP envelope.
+  /// All rows run through one fused kernel call per layer; with the
+  /// scalar table the result is bit-identical to n calls of step() in
+  /// order, with avx2 it stays in the ULP envelope. step() is this with
+  /// n == 1.
   ///
   /// With defer_heads (n == 1 included) the states advance but the head
   /// + softmax is skipped (most batch consumers only ever read one or

@@ -3,11 +3,13 @@
 // MISUSE_SIMD); everything it exports is reached through the runtime
 // dispatch in nn/infer/dispatch.cpp, which checks CPU support first.
 //
-// These kernels are ULP-close to the scalar table, not bit-identical:
-// the GEMVs fuse multiply-adds in register-blocked tiles and the gate
-// nonlinearities run on a vectorized exp polynomial (Cephes-style, as in
-// avx_mathfun) instead of libm. tests/test_infer.cpp pins the divergence
-// with a per-step ULP bound.
+// The GEMVs are this TU's own copy of the register-blocked kernel
+// (nn/infer/blocked_gemv.hpp), compiled for AVX2+FMA, so they may
+// contract to FMAs where the baseline build does not. What the table adds
+// is a vectorized gate activation and softmax on an exp polynomial
+// (Cephes-style, as in avx_mathfun) instead of libm. These are ULP-close
+// to the scalar table, not bit-identical; tests/test_infer.cpp pins the
+// divergence with a per-step ULP bound.
 #include "nn/infer/kernels.hpp"
 
 #if defined(MISUSEDET_HAVE_AVX2)
@@ -18,8 +20,7 @@
 #include <span>
 
 #include "nn/gate_math.hpp"
-#include "nn/infer/packed.hpp"
-#include "nn/lstm.hpp"
+#include "nn/infer/blocked_gemv.hpp"
 #include "tensor/ops.hpp"
 
 namespace misuse::nn::infer {
@@ -68,146 +69,6 @@ inline __m256 tanh256(__m256 x) {
   return _mm256_div_ps(_mm256_sub_ps(e2x, one), _mm256_add_ps(e2x, one));
 }
 
-inline const float* wx_row(const PackedLstm& w, int token) {
-  return token == kPadToken ? nullptr
-                            : w.wx.data() + static_cast<std::size_t>(token) * 4 * w.hidden;
-}
-
-// GEMV accumulate: `row[j0..] += x[p] * m(p, j0..)` for one session with
-// the output block pinned in 8 ymm registers — pure broadcast-FMA
-// streams, no horizontal reductions. `m` is in reference (p-major)
-// layout, so the sum runs in the scalar kernels' p-ascending order, each
-// step one FMA.
-inline void accum_rows(const float* m, std::size_t cols, const float* x, std::size_t len,
-                       float* row) {
-  constexpr std::size_t kBlock = 8;  // 8 ymm = 64 output columns per pass
-  std::size_t j0 = 0;
-  for (; j0 + kBlock * 8 <= cols; j0 += kBlock * 8) {
-    __m256 acc[kBlock];
-    for (std::size_t b = 0; b < kBlock; ++b) acc[b] = _mm256_loadu_ps(row + j0 + 8 * b);
-    for (std::size_t p = 0; p < len; ++p) {
-      const __m256 xp = _mm256_set1_ps(x[p]);
-      const float* wrow = m + p * cols + j0;
-      for (std::size_t b = 0; b < kBlock; ++b) {
-        acc[b] = _mm256_fmadd_ps(xp, _mm256_loadu_ps(wrow + 8 * b), acc[b]);
-      }
-    }
-    for (std::size_t b = 0; b < kBlock; ++b) _mm256_storeu_ps(row + j0 + 8 * b, acc[b]);
-  }
-  for (; j0 + 8 <= cols; j0 += 8) {
-    __m256 acc = _mm256_loadu_ps(row + j0);
-    for (std::size_t p = 0; p < len; ++p) {
-      acc = _mm256_fmadd_ps(_mm256_set1_ps(x[p]), _mm256_loadu_ps(m + p * cols + j0), acc);
-    }
-    _mm256_storeu_ps(row + j0, acc);
-  }
-  for (; j0 < cols; ++j0) {
-    float acc = row[j0];
-    for (std::size_t p = 0; p < len; ++p) acc += x[p] * m[p * cols + j0];
-    row[j0] = acc;
-  }
-}
-
-// Multi-session tile: N sessions x 16 columns of output pinned in
-// registers (2N accumulators — at the N=6 sweet spot, 12 independent FMA
-// chains, enough to cover the FMA latency), each weight vector
-// broadcast-shared across the tile so the weight stream (the batch
-// GEMV's bandwidth bottleneck; weights exceed L1) is read once per N
-// sessions instead of once per session. Smaller instantiations (4, 2)
-// mop up the batch remainder so a 64-session batch never falls back to
-// re-streaming the whole weight matrix per leftover session.
-constexpr int kSessTile = 6;
-
-template <int N>
-void accum_rows_tile(const float* m, std::size_t cols, const float* const* x, std::size_t len,
-                     float* const* rows) {
-  std::size_t j0 = 0;
-  for (; j0 + 16 <= cols; j0 += 16) {
-    __m256 acc[N][2];
-    for (int s = 0; s < N; ++s) {
-      acc[s][0] = _mm256_loadu_ps(rows[s] + j0);
-      acc[s][1] = _mm256_loadu_ps(rows[s] + j0 + 8);
-    }
-    for (std::size_t p = 0; p < len; ++p) {
-      const float* wrow = m + p * cols + j0;
-      const __m256 w0 = _mm256_loadu_ps(wrow);
-      const __m256 w1 = _mm256_loadu_ps(wrow + 8);
-      for (int s = 0; s < N; ++s) {
-        const __m256 xp = _mm256_set1_ps(x[s][p]);
-        acc[s][0] = _mm256_fmadd_ps(xp, w0, acc[s][0]);
-        acc[s][1] = _mm256_fmadd_ps(xp, w1, acc[s][1]);
-      }
-    }
-    for (int s = 0; s < N; ++s) {
-      _mm256_storeu_ps(rows[s] + j0, acc[s][0]);
-      _mm256_storeu_ps(rows[s] + j0 + 8, acc[s][1]);
-    }
-  }
-  for (; j0 + 8 <= cols; j0 += 8) {
-    __m256 acc[N];
-    for (int s = 0; s < N; ++s) acc[s] = _mm256_loadu_ps(rows[s] + j0);
-    for (std::size_t p = 0; p < len; ++p) {
-      const __m256 w0 = _mm256_loadu_ps(m + p * cols + j0);
-      for (int s = 0; s < N; ++s) {
-        acc[s] = _mm256_fmadd_ps(_mm256_set1_ps(x[s][p]), w0, acc[s]);
-      }
-    }
-    for (int s = 0; s < N; ++s) _mm256_storeu_ps(rows[s] + j0, acc[s]);
-  }
-  for (; j0 < cols; ++j0) {
-    for (int s = 0; s < N; ++s) {
-      float acc = rows[s][j0];
-      for (std::size_t p = 0; p < len; ++p) acc += x[s][p] * m[p * cols + j0];
-      rows[s][j0] = acc;
-    }
-  }
-}
-
-// Full-batch GEMV accumulate: 6-session tiles, then 4/2-session tiles on
-// the remainder, then a single-session pass for the last odd row.
-void accum_rows_batch(const float* m, std::size_t cols, const float* const* x, std::size_t len,
-                      float* const* rows, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + kSessTile <= n; i += kSessTile) {
-    accum_rows_tile<kSessTile>(m, cols, x + i, len, rows + i);
-  }
-  if (n - i >= 4) {
-    accum_rows_tile<4>(m, cols, x + i, len, rows + i);
-    i += 4;
-  }
-  if (n - i >= 2) {
-    accum_rows_tile<2>(m, cols, x + i, len, rows + i);
-    i += 2;
-  }
-  if (i < n) accum_rows(m, cols, x[i], len, rows[i]);
-}
-
-void seed_gate_rows(const PackedLstm& w, float* const* gates, const int* tokens, std::size_t n) {
-  const std::size_t g4 = 4 * w.hidden;
-  const float* bias = w.bias.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    float* g = gates[i];
-    const float* wxrow = wx_row(w, tokens[i]);
-    if (wxrow != nullptr) {
-      std::size_t j = 0;
-      for (; j + 8 <= g4; j += 8) {
-        _mm256_storeu_ps(g + j,
-                         _mm256_add_ps(_mm256_loadu_ps(bias + j), _mm256_loadu_ps(wxrow + j)));
-      }
-      for (; j < g4; ++j) g[j] = bias[j] + wxrow[j];
-    } else {
-      for (std::size_t j = 0; j < g4; ++j) g[j] = bias[j];
-    }
-  }
-}
-
-void avx2_gates_batch(const PackedLstm& w, const float* const* h, const int* tokens,
-                      float* const* gates, std::size_t n) {
-  const std::size_t g4 = 4 * w.hidden;
-  seed_gate_rows(w, gates, tokens, n);
-  accum_rows_batch(w.wh.data(), g4, h, w.hidden, gates, n);
-}
-
 void avx2_activate_update(float* gates, std::size_t hidden, float* c, float* h) {
   // Gate layout [i | f | g | o]: sigmoid on [0, 2H) and [3H, 4H), tanh on
   // [2H, 3H). Scalar (libm) tails keep non-multiple-of-8 widths exact.
@@ -244,25 +105,6 @@ void avx2_activate_update(float* gates, std::size_t hidden, float* c, float* h) 
   }
 }
 
-void avx2_head_batch(const PackedLstm& w, const float* const* h, float* const* logits,
-                     std::size_t n) {
-  const std::size_t out = w.head_out;
-  for (std::size_t i = 0; i < n; ++i) {
-    float* row = logits[i];
-    for (std::size_t j = 0; j < out; ++j) row[j] = w.head_b[j];
-  }
-  accum_rows_batch(w.head_w.data(), out, h, w.hidden, logits, n);
-}
-
-// One row is the batch kernel with n == 1.
-void avx2_gates(const PackedLstm& w, const float* h, int token, float* gates) {
-  avx2_gates_batch(w, &h, &token, &gates, 1);
-}
-
-void avx2_head(const PackedLstm& w, const float* h, float* logits) {
-  avx2_head_batch(w, &h, &logits, 1);
-}
-
 void avx2_softmax(const float* logits, std::size_t n, float* probs) {
   float mx = logits[0];
   for (std::size_t i = 1; i < n; ++i) mx = std::max(mx, logits[i]);
@@ -282,8 +124,10 @@ void avx2_softmax(const float* logits, std::size_t n, float* probs) {
 
 const Kernels* avx2_kernels() {
   static const Kernels kernels = {
-      &avx2_gates,   &avx2_activate_update, &avx2_head,
-      &avx2_softmax, &avx2_gates_batch,     &avx2_head_batch,
+      &blocked_gates,
+      &avx2_activate_update,
+      &blocked_head,
+      &avx2_softmax,
   };
   return &kernels;
 }

@@ -65,9 +65,9 @@ std::size_t SessionShard::stage(std::span<const PendingEvent> events,
   assert(staged_.empty());
   // Staged steps: bookkeeping (clock, last_seen, WAL, watermark) applied
   // in arrival order; the monitor advance is deferred so distinct
-  // sessions' forwards fuse into one batched step per pinned detector.
-  // Entry pointers are stable (node-based map) and no staged entry is
-  // ever evicted (settle runs before evict_lru).
+  // sessions' forwards fuse into one batched step per wave and pinned
+  // detector. Entry pointers are stable (node-based map) and no staged
+  // entry is ever evicted (settle runs before evict_lru).
   std::size_t scored = 0;
   for (const PendingEvent& pending : events) {
     const Event& event = *pending.event;
@@ -126,10 +126,6 @@ std::size_t SessionShard::stage(std::span<const PendingEvent> events,
       ServeMetrics& sm = serve_metrics();
       sm.sessions_opened.inc();
       sm.sessions_active.add(1);
-    } else if (it->second.staged) {
-      // Second action of one session inside the batch: its first step
-      // must advance the monitor before this one stages.
-      scored += settle(out);
     }
     Entry& entry = it->second;
     if (event.has_timestamp) clock_ = std::max(clock_, event.timestamp);
@@ -142,8 +138,7 @@ std::size_t SessionShard::stage(std::span<const PendingEvent> events,
     if (wal_ != nullptr) wal_->append(encode_event_record(event, pending.seq));
     last_applied_seq_ = std::max(last_applied_seq_, pending.seq);
 
-    entry.staged = true;
-    staged_.push_back({&event, &entry, action, pending.seq});
+    staged_.push_back({&event, &entry, action, pending.seq, entry.staged++});
   }
   return scored;
 }
@@ -159,6 +154,7 @@ void SessionShard::observe_staged(std::span<SessionShard* const> shards) {
   };
   thread_local Rows rows;
   std::size_t total = 0;
+  std::uint32_t waves = 0;
   bool tracing = false;
   rows.detectors.clear();
   for (SessionShard* shard : shards) {
@@ -166,6 +162,7 @@ void SessionShard::observe_staged(std::span<SessionShard* const> shards) {
     total += shard->staged_.size();
     tracing |= shard->tracer_ != nullptr;
     for (const Staged& s : shard->staged_) {
+      waves = std::max(waves, s.wave + 1);
       const auto* detector = s.entry->model.detector.get();
       if (std::find(rows.detectors.begin(), rows.detectors.end(), detector) ==
           rows.detectors.end()) {
@@ -176,30 +173,38 @@ void SessionShard::observe_staged(std::span<SessionShard* const> shards) {
   if (total == 0) return;
   tracing = tracing && trace_events().enabled();
   const std::uint64_t start = tracing ? trace_now_nanos() : 0;
-  // One fused observe_batch per distinct pinned detector (almost always
-  // exactly one; more only mid-hot-swap), in first-appearance order. The
-  // shards share the detector's weights, so fusing across them is what
-  // lets one weight pass serve every ready session.
-  for (const auto* detector : rows.detectors) {
-    rows.monitors.clear();
-    rows.actions.clear();
-    rows.slots.clear();
-    for (SessionShard* shard : shards) {
-      for (std::size_t i = 0; i < shard->staged_.size(); ++i) {
-        const Staged& s = shard->staged_[i];
-        if (s.entry->model.detector.get() != detector) continue;
-        rows.monitors.push_back(s.entry->monitor.get());
-        rows.actions.push_back(s.action);
-        rows.slots.push_back(&shard->results_[i]);
+  // Wave w holds every session's w-th staged step, so each wave is a set
+  // of distinct sessions and a session's waves run in its arrival order.
+  // Within a wave: one fused observe_batch per distinct pinned detector
+  // (almost always exactly one; more only mid-hot-swap), in
+  // first-appearance order. The shards share the detector's weights, so
+  // fusing across them is what lets one weight pass serve every ready
+  // session.
+  ServeMetrics& sm = serve_metrics();
+  for (std::uint32_t wave = 0; wave < waves; ++wave) {
+    std::size_t wave_events = 0;
+    for (const auto* detector : rows.detectors) {
+      rows.monitors.clear();
+      rows.actions.clear();
+      rows.slots.clear();
+      for (SessionShard* shard : shards) {
+        for (std::size_t i = 0; i < shard->staged_.size(); ++i) {
+          const Staged& s = shard->staged_[i];
+          if (s.wave != wave || s.entry->model.detector.get() != detector) continue;
+          rows.monitors.push_back(s.entry->monitor.get());
+          rows.actions.push_back(s.action);
+          rows.slots.push_back(&shard->results_[i]);
+        }
       }
+      rows.results.resize(rows.monitors.size());
+      core::OnlineMonitor::observe_batch(*detector, rows.monitors, rows.actions, rows.results);
+      for (std::size_t j = 0; j < rows.slots.size(); ++j) {
+        std::swap(*rows.slots[j], rows.results[j]);
+      }
+      wave_events += rows.slots.size();
     }
-    rows.results.resize(rows.monitors.size());
-    core::OnlineMonitor::observe_batch(*detector, rows.monitors, rows.actions, rows.results);
-    for (std::size_t j = 0; j < rows.slots.size(); ++j) {
-      std::swap(*rows.slots[j], rows.results[j]);
-    }
+    sm.batch_events.record(static_cast<double>(wave_events));
   }
-  serve_metrics().batch_events.record(static_cast<double>(total));
   // Sampled tracing: the fused batch is one timed unit, so each traced
   // step gets an equal slice of the window — good enough to see the
   // lifecycle and ordering, which is what the export is for.
@@ -234,7 +239,7 @@ std::size_t SessionShard::commit(std::vector<OutputRecord>& out) {
     if (config_.emit_steps) out.push_back({staged_[i].seq, render_step_record(event, step)});
     if (step_observer_) step_observer_(event, step);
     if (shadow_) shadow_->observe(event, step);
-    entry.staged = false;
+    --entry.staged;
     if (record) {
       ServeMetrics& sm = serve_metrics();
       sm.events.inc();

@@ -104,24 +104,29 @@ class SessionShard {
   /// Applies a batch of events in arrival order, bit-identical to calling
   /// process() per event — but the model forwards of distinct sessions
   /// are fused into per-detector batched steps (the inference engine's
-  /// hot path). Consecutive events of the *same* session still advance
-  /// strictly in sequence: a session hit settles the pending batch first.
+  /// hot path). Repeated events of the *same* session still advance
+  /// strictly in sequence: the k-th event of a session in the batch runs
+  /// in wave k, after the session's earlier waves.
   /// Exactly stage() + observe_staged({this}) + commit().
   void process_batch(std::span<const PendingEvent> events, std::vector<OutputRecord>& out);
 
   // -- Split batch (ScoringServer::submit_batch fuses across shards) -------
 
   /// Stage half: session lookup/open, clock, WAL append and watermark in
-  /// arrival order, leaving each event's monitor step pending. A repeated
-  /// session or a capacity eviction settles (observes + commits) the
-  /// pending steps first, appending their records to `out`. Returns the
-  /// number of steps those settles committed. The events must stay alive
-  /// until commit().
+  /// arrival order, leaving each event's monitor step pending. Each
+  /// staged step is tagged with its wave: how many steps of the same
+  /// session are already staged. Only a capacity eviction settles
+  /// (observes + commits) the pending steps first, since the victim may
+  /// have some, appending their records to `out`. Returns the number of
+  /// steps those settles committed. The events must stay alive until
+  /// commit().
   std::size_t stage(std::span<const PendingEvent> events, std::vector<OutputRecord>& out);
 
-  /// Runs the staged steps of every shard in `shards` as one
-  /// OnlineMonitor::observe_batch per pinned detector (the shards share
-  /// the detector's weights). Callers hold every listed shard's lock.
+  /// Runs the staged steps of every shard in `shards` wave by wave: each
+  /// wave is one OnlineMonitor::observe_batch per pinned detector across
+  /// all the shards (they share the detector's weights), and holds at
+  /// most one step per session, so a session's steps advance in arrival
+  /// order. Callers hold every listed shard's lock.
   static void observe_staged(std::span<SessionShard* const> shards);
 
   /// Commit half: records, accumulators, observers and the shadow scorer
@@ -215,9 +220,9 @@ class SessionShard {
     /// Resume-replay dedup: actions[0..replay_pos) already consumed.
     std::vector<int> replay_skip;
     std::size_t replay_pos = 0;
-    /// True while a step for this session sits in the shard's stage (its
-    /// monitor state is about to advance).
-    bool staged = false;
+    /// Steps of this session sitting in the shard's stage (its monitor
+    /// state is about to advance that many times).
+    std::uint32_t staged = 0;
   };
 
   /// One staged step: bookkeeping applied, monitor advance pending.
@@ -226,6 +231,7 @@ class SessionShard {
     Entry* entry;
     int action;
     std::uint64_t seq;
+    std::uint32_t wave;  // the session's earlier steps in the stage
   };
 
   /// observe_staged({this}) + commit(out): settles the pending steps.

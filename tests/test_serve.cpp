@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -18,6 +22,7 @@
 #include "util/line_io.hpp"
 #include "util/serialize.hpp"
 #include "util/thread_pool.hpp"
+#include "temp_dir.hpp"
 
 namespace misuse::serve {
 namespace {
@@ -328,10 +333,14 @@ TEST_F(ServeFixture, SubmitSyncMatchesOfflineMonitor) {
   }
 }
 
-// submit_batch (the epoll path: one fused step across shards per call)
+// submit_batch (the epoll path: fused steps across shards, one per wave)
 // answers every event with exactly the records per-event submission
 // gives it — step lines, an unknown-action error, and capacity-eviction
-// reports — and each record's seq names its event.
+// reports — and each record's seq names its event. A second pass packs
+// one batch with a session repeated 4x between sessions on every shard
+// and a capacity eviction in the middle: records, reports and every
+// shard's WAL bytes must match one-at-a-time submission, and the batch
+// must run as exactly its waves.
 TEST_F(ServeFixture, SubmitBatchMatchesPerEventSubmission) {
   auto events = interleave(pick_sessions(8));
   ASSERT_GT(events.size(), 40u);
@@ -378,6 +387,89 @@ TEST_F(ServeFixture, SubmitBatchMatchesPerEventSubmission) {
   batched.shutdown(got_tail);
   ASSERT_EQ(got_tail.size(), want_tail.size());
   for (std::size_t i = 0; i < got_tail.size(); ++i) EXPECT_EQ(got_tail[i].line, want_tail[i].line);
+
+  // -- One batch: waves plus a mid-batch capacity eviction ----------------
+  constexpr std::size_t kShards = 4;
+  config.max_sessions = 2 * kShards;  // 2 per shard
+  const auto shard_of_id = [](const std::string& id) {
+    return session_shard_hash(session_key("w", id)) % kShards;
+  };
+  // Three session ids per shard. repeated (shard 0) is sent 4x; others[s]
+  // is one session per shard; extra (shard 1) are two more, so the second
+  // one's open finds shard 1 full and evicts others[1], its LRU session.
+  std::vector<std::vector<std::string>> by_shard(kShards);
+  for (std::size_t k = 0; std::any_of(by_shard.begin(), by_shard.end(),
+                                      [](const auto& ids) { return ids.size() < 3; });
+       ++k) {
+    const std::string id = "x" + std::to_string(k);
+    by_shard[shard_of_id(id)].push_back(id);
+  }
+  const std::string repeated = by_shard[0][0];
+  const std::vector<std::string> others = {by_shard[0][1], by_shard[1][0], by_shard[2][0],
+                                           by_shard[3][0]};
+  const std::vector<std::string> extra = {by_shard[1][1], by_shard[1][2]};
+  const auto stream = pick_sessions(1).front();
+  ASSERT_GE(stream.size(), 4u);
+  std::vector<Event> wave_batch;
+  const auto add = [&](const std::string& id, std::size_t step) {
+    Event e;
+    e.user_id = "w";
+    e.session_id = id;
+    e.action = detector_->vocab().name(stream[step % stream.size()]);
+    e.timestamp = static_cast<double>(wave_batch.size());
+    e.has_timestamp = true;
+    wave_batch.push_back(std::move(e));
+  };
+  add(repeated, 0);
+  add(others[0], 0);
+  add(others[1], 1);
+  add(repeated, 1);
+  add(others[2], 2);
+  add(repeated, 2);
+  add(others[3], 3);
+  add(extra[0], 1);
+  add(repeated, 3);
+  add(extra[1], 2);  // opens on full shard 1: evicts others[1]
+  add(others[0], 3);
+
+  const auto wal_bytes = [](const std::string& dir, std::size_t shard) {
+    std::ifstream in(wal_path(dir, shard), std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  };
+  const auto run = [&](const std::string& name, bool batch_at_once) {
+    ServeConfig wal_config = config;
+    wal_config.wal_dir = testing_support::test_temp_path("misusedet_waves_" + name);
+    std::filesystem::create_directories(wal_config.wal_dir);
+    ScoringServer server(*detector_, wal_config);
+    std::vector<OutputRecord> records;
+    if (batch_at_once) {
+      server.submit_batch(wave_batch, records);
+    } else {
+      for (const Event& event : wave_batch) server.submit_sync(event, records);
+    }
+    std::vector<std::string> lines;
+    for (const auto& r : records) lines.push_back(std::to_string(r.seq) + " " + r.line);
+    std::vector<std::string> wals;
+    for (std::size_t s = 0; s < kShards; ++s) wals.push_back(wal_bytes(wal_config.wal_dir, s));
+    records.clear();
+    server.shutdown(records);
+    for (const auto& r : records) lines.push_back(r.line);
+    return std::pair{lines, wals};
+  };
+  const auto [want_lines, want_wals] = run("one", false);
+  const std::uint64_t waves_before = serve_metrics().batch_events.count();
+  const auto [got_lines, got_wals] = run("batch", true);
+  const std::uint64_t waves = serve_metrics().batch_events.count() - waves_before;
+  EXPECT_EQ(got_lines, want_lines);
+  EXPECT_EQ(got_wals, want_wals);
+  for (const auto& wal : got_wals) EXPECT_FALSE(wal.empty());
+  const auto evicted = std::count_if(want_lines.begin(), want_lines.end(), [](const auto& l) {
+    return l.find("capacity_eviction") != std::string::npos;
+  });
+  EXPECT_EQ(evicted, 1);
+  // The eviction settles shard 1's stage first (one wave: two distinct
+  // sessions); the rest runs as repeated's 4 waves across all shards.
+  EXPECT_EQ(waves, 1u + 4u);
 }
 
 TEST_F(ServeFixture, OutputOrderFollowsArrivalOrder) {
