@@ -19,6 +19,8 @@
 //
 //   ./bench/bench_inference [--out=BENCH_inference.json] [--reduced]
 //
+// --help prints the usage; any other flag exits 2.
+//
 // --reduced shrinks the workloads — the CI smoke configuration, which
 // cares about "runs and writes valid JSON", not the timings.
 #include <algorithm>
@@ -165,6 +167,22 @@ int main(int argc, char** argv) {
   using namespace misuse;
   using nn::infer::InferMode;
   const CliArgs args(argc, argv);
+  const auto usage = [&](std::ostream& os) {
+    os << "usage: " << args.program() << " [--out=BENCH_inference.json] [--reduced]\n"
+       << "  --out=PATH  where to write the JSON record (default BENCH_inference.json)\n"
+       << "  --reduced   small workloads: the CI smoke configuration\n";
+  };
+  if (args.has("help")) {
+    usage(std::cout);
+    return 0;
+  }
+  for (const std::string& key : args.keys()) {
+    if (key != "out" && key != "reduced") {
+      std::cerr << "unknown flag --" << key << "\n";
+      usage(std::cerr);
+      return 2;
+    }
+  }
   const bool reduced = args.flag("reduced");
   const std::string out_path = args.str("out", "BENCH_inference.json");
   // Single-core: the engine's win must not depend on the pool.

@@ -21,8 +21,11 @@ namespace {
 // GEMVs are blocked_gates / blocked_head (nn/infer/blocked_gemv.hpp),
 // which keep gemm_rows' per-element operation sequence and expression
 // shape, so the compiler makes the same contraction choice for both
-// whatever the flags. The nonlinearities/cell update are the same inline
-// helpers (nn/gate_math.hpp) the reference compiles.
+// whatever the flags. The nonlinearities/cell update are the helpers of
+// nn/gate_math.hpp that the reference cell calls too: the sigmoid and the
+// cell update's multiply-add inline, so both paths compile the same
+// expression, and the tanh one out-of-line lane-parallel function
+// (gate_tanh_span) that every path shares.
 
 void scalar_activate_update(float* gates, std::size_t hidden, float* c, float* h) {
   lstm_activate_gates(gates, hidden);

@@ -7,9 +7,10 @@
 // (nn/infer/blocked_gemv.hpp), compiled for AVX2+FMA, so they may
 // contract to FMAs where the baseline build does not. What the table adds
 // is a vectorized gate activation and softmax on an exp polynomial
-// (Cephes-style, as in avx_mathfun) instead of libm. These are ULP-close
-// to the scalar table, not bit-identical; tests/test_infer.cpp pins the
-// divergence with a per-step ULP bound.
+// (Cephes-style, as in avx_mathfun) in place of libm's exp and the repo's
+// exact tanh (nn/gate_math.hpp), which only the scalar tails call. These
+// are ULP-close to the scalar table, not bit-identical;
+// tests/test_infer.cpp pins the divergence with a per-step ULP bound.
 #include "nn/infer/kernels.hpp"
 
 #if defined(MISUSEDET_HAVE_AVX2)
@@ -71,7 +72,8 @@ inline __m256 tanh256(__m256 x) {
 
 void avx2_activate_update(float* gates, std::size_t hidden, float* c, float* h) {
   // Gate layout [i | f | g | o]: sigmoid on [0, 2H) and [3H, 4H), tanh on
-  // [2H, 3H). Scalar (libm) tails keep non-multiple-of-8 widths exact.
+  // [2H, 3H). Scalar tails (libm exp, the repo's tanh) keep
+  // non-multiple-of-8 widths exact.
   const auto sigmoid_span = [](float* x, std::size_t n) {
     std::size_t j = 0;
     for (; j + 8 <= n; j += 8) _mm256_storeu_ps(x + j, sigmoid256(_mm256_loadu_ps(x + j)));
@@ -83,7 +85,7 @@ void avx2_activate_update(float* gates, std::size_t hidden, float* c, float* h) 
   for (; j + 8 <= hidden; j += 8) {
     _mm256_storeu_ps(gblock + j, tanh256(_mm256_loadu_ps(gblock + j)));
   }
-  for (; j < hidden; ++j) gblock[j] = std::tanh(gblock[j]);
+  for (; j < hidden; ++j) gblock[j] = gate_tanh(gblock[j]);
   sigmoid_span(gates + 3 * hidden, hidden);
 
   // c = f*c + i*g; h = o * tanh(c).
@@ -101,7 +103,7 @@ void avx2_activate_update(float* gates, std::size_t hidden, float* c, float* h) 
   }
   for (; j < hidden; ++j) {
     c[j] = fg[j] * c[j] + ig[j] * gg[j];
-    h[j] = og[j] * std::tanh(c[j]);
+    h[j] = og[j] * gate_tanh(c[j]);
   }
 }
 

@@ -12,12 +12,16 @@
 // rows where h[p] == 0), so a batched step is bit-identical to n one-row
 // steps and to NextActionModel::step_into — the determinism contract
 // (WAL replay, hot swap, cross-session batching in the server) rides on
-// this.
+// this. Its activation and cell update are nn/gate_math.hpp's, which the
+// reference cell and the trainer call too: libm's exp for the sigmoid and
+// the repo's own tanh, equal to libm's tanhf on every float, run several
+// vector lanes at a time.
 //
 // The avx2 table (nn/infer/engine_avx2.cpp, compiled with -mavx2 -mfma)
 // is ULP-close to scalar, not bit-identical: its GEMV copy may contract
 // to FMAs where the baseline build does not, and its gate nonlinearities
-// and softmax use a vectorized exp approximation.
+// and softmax use a vectorized exp approximation (only their scalar tails
+// call libm's exp and the repo's tanh).
 #pragma once
 
 #include <cstddef>

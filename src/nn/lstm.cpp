@@ -1,7 +1,6 @@
 #include "nn/lstm.hpp"
 
 #include <cassert>
-#include <cmath>
 
 #include "nn/gate_math.hpp"
 #include "tensor/ops.hpp"
@@ -84,11 +83,11 @@ void Lstm::forward_step(StepRecord& rec, const Matrix& c_prev) {
       const float i_g = g[j];
       const float f_g = g[hidden_ + j];
       const float g_g = g[2 * hidden_ + j];
-      const float o_g = g[3 * hidden_ + j];
       c[j] = f_g * cp[j] + i_g * g_g;
-      tc[j] = std::tanh(c[j]);
-      h[j] = o_g * tc[j];
+      tc[j] = c[j];
     }
+    gate_tanh_span(tc, hidden_);
+    for (std::size_t j = 0; j < hidden_; ++j) h[j] = g[3 * hidden_ + j] * tc[j];
   }
 }
 

@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <numbers>
 #include <sstream>
+#include <thread>
+#include <vector>
+
+#include "nn/gate_math.hpp"
 
 namespace misuse::nn {
 namespace {
@@ -198,5 +207,169 @@ INSTANTIATE_TEST_SUITE_P(Sizes, LstmSizeSweep,
                          ::testing::Values(std::make_pair(2u, 1u), std::make_pair(3u, 8u),
                                            std::make_pair(16u, 4u), std::make_pair(64u, 32u)));
 
+// --- GateMath: the repo's tanh against libm --------------------------------
+
+// The reference is the libm call itself: the volatile keeps the compiler
+// from folding std::tanh of a known argument to a correctly rounded
+// constant, which fdlibm's tanhf need not be.
+float libm_tanh(float x) {
+  volatile float v = x;
+  return std::tanh(v);
+}
+
+float from_bits(std::uint32_t b) { return std::bit_cast<float>(b); }
+
+// Equal bit patterns, or both NaN.
+bool same_result(float got, float want) {
+  if (std::isnan(want)) return std::isnan(got);
+  return std::bit_cast<std::uint32_t>(got) == std::bit_cast<std::uint32_t>(want);
+}
+
+struct Mismatches {
+  std::uint64_t count = 0;
+  std::uint32_t first = 0;  // first failing bit pattern, when count > 0
+
+  void add(std::uint32_t bits) {
+    if (count++ == 0) first = bits;
+  }
+};
+
+// Checks gate_tanh and gate_tanh_span against libm on the bit patterns
+// first, first + stride, ... below last.
+Mismatches compare_to_libm(std::uint64_t first, std::uint64_t last, std::uint64_t stride) {
+  constexpr std::size_t kChunk = 4096;
+  Mismatches bad;
+  std::vector<std::uint32_t> bits;
+  std::vector<float> span;
+  bits.reserve(kChunk);
+  span.reserve(kChunk);
+  for (std::uint64_t b = first; b < last;) {
+    bits.clear();
+    span.clear();
+    for (; b < last && bits.size() < kChunk; b += stride) {
+      bits.push_back(static_cast<std::uint32_t>(b));
+      span.push_back(from_bits(bits.back()));
+    }
+    gate_tanh_span(span.data(), span.size());
+    for (std::size_t i = 0; i < bits.size(); ++i) {
+      const float x = from_bits(bits[i]);
+      const float want = libm_tanh(x);
+      if (!same_result(gate_tanh(x), want) || !same_result(span[i], want)) bad.add(bits[i]);
+    }
+  }
+  return bad;
+}
+
+// Every threshold of the transcription (on |x|, or on expm1's argument
+// u = +-2|x| mapped back to |x|) and the floats on each side of it, plus
+// windows around the k where expm1's reconstruction switches formula,
+// +-0, denormals, FLT_MIN, FLT_MAX and infinity; both signs.
+std::vector<float> edge_inputs() {
+  // 0, denormals, FLT_MIN, FLT_MAX, infinity.
+  std::vector<std::uint32_t> magnitudes = {0x00000000, 0x00000001, 0x00000002, 0x00400000,
+                                           0x007fffff, 0x00800000, 0x7f7fffff, 0x7f800000};
+  const std::uint32_t thresholds[] = {
+      0x41b00000,               // 22: tanh saturates
+      0x24000000,               // 2^-55: tanh(x) = x
+      0x3f800000,               // 1: expm1(2|x|) vs expm1(-2|x|)
+      0x3eb17218 - 0x00800000,  // u = 0.5 ln2: argument reduction starts
+      0x3f851592 - 0x00800000,  // u = 1.5 ln2: k = -1 shortcut ends
+      0x33000000 - 0x00800000,  // u = 2^-25: expm1(u) = u
+      0x4195b844 - 0x00800000,  // u = 27 ln2: expm1's large-argument filter
+  };
+  for (std::uint32_t t : thresholds) {
+    for (std::uint32_t b = t - 1; b <= t + 1; ++b) magnitudes.push_back(b);
+  }
+  // k = trunc(u / ln2 +- 0.5) steps at |u| = (|k| - 0.5) ln2; these steps
+  // move u between the reconstruction formulas (k = -1 or k <= -2 for
+  // u < 0; 2 <= k < 23, 23 <= k <= 56 or k > 56 for u > 0).
+  for (const double k : {1.0, 2.0, 3.0, 23.0, 57.0}) {
+    const auto mid =
+        std::bit_cast<std::uint32_t>(static_cast<float>((k - 0.5) * std::numbers::ln2 / 2.0));
+    for (std::uint32_t b = mid - 64; b <= mid + 64; ++b) magnitudes.push_back(b);
+  }
+  std::vector<float> out;
+  for (std::uint32_t m : magnitudes) {
+    out.push_back(from_bits(m));
+    out.push_back(from_bits(m | 0x80000000u));
+  }
+  return out;
+}
+
+TEST(GateMath, TanhMatchesLibmOnSweepAndEdges) {
+  // Every 1021st bit pattern: ~4.2M inputs over all exponents and signs.
+  const Mismatches sweep = compare_to_libm(0, std::uint64_t{1} << 32, 1021);
+  EXPECT_EQ(sweep.count, 0u) << "first mismatch at bit pattern 0x" << std::hex << sweep.first;
+
+  std::vector<float> edges = edge_inputs();
+  std::vector<float> span = edges;
+  gate_tanh_span(span.data(), span.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const float want = libm_tanh(edges[i]);
+    EXPECT_TRUE(same_result(gate_tanh(edges[i]), want)) << "x = " << std::hexfloat << edges[i];
+    EXPECT_TRUE(same_result(span[i], want)) << "x = " << std::hexfloat << edges[i];
+  }
+  EXPECT_EQ(gate_tanh(FLT_MAX), 1.0f);
+  EXPECT_EQ(gate_tanh(-INFINITY), -1.0f);
+  EXPECT_TRUE(std::signbit(gate_tanh(-0.0f)));
+}
+
+TEST(GateMath, NanInputGivesNan) {
+  std::vector<float> nans = {from_bits(0x7fc00000), from_bits(0x7f800001), from_bits(0xffc00000),
+                             from_bits(0x7fffffff), from_bits(0xff800001)};
+  // Padded past the widest lane count so the NaNs also run in vector lanes.
+  nans.resize(40, nans.front());
+  std::vector<float> span = nans;
+  gate_tanh_span(span.data(), span.size());
+  for (std::size_t i = 0; i < nans.size(); ++i) {
+    EXPECT_TRUE(std::isnan(gate_tanh(nans[i]))) << i;
+    EXPECT_TRUE(std::isnan(span[i])) << i;
+  }
+}
+
+TEST(GateMath, SpanMatchesScalarAtEveryLengthAndOffset) {
+  // Lengths 0 .. 2 * 16 + 1 cover two full vectors and a tail at every
+  // lane width the build can pick (4, 8 or 16); the span starts one float
+  // into the buffer, so it is not vector-aligned.
+  constexpr std::size_t kMaxLanes = 16;
+  constexpr float kGuard = 12345.0f;
+  Rng rng(41);
+  for (std::size_t n = 0; n <= 2 * kMaxLanes + 1; ++n) {
+    std::vector<float> x(n + 2, kGuard);
+    for (std::size_t j = 1; j <= n; ++j) {
+      x[j] = static_cast<float>(rng.uniform(-25.0, 25.0));
+    }
+    if (n >= 3) {
+      x[1] = 0.0f;
+      x[2] = -1.0f;
+      x[n] = INFINITY;
+    }
+    const std::vector<float> in = x;
+    gate_tanh_span(x.data() + 1, n);
+    EXPECT_EQ(x.front(), kGuard) << "n=" << n;
+    EXPECT_EQ(x.back(), kGuard) << "n=" << n;
+    for (std::size_t j = 1; j <= n; ++j) {
+      EXPECT_TRUE(same_result(x[j], gate_tanh(in[j]))) << "n=" << n << " j=" << j;
+    }
+  }
+}
+
+// All 2^32 floats; ~16 s on 4 cores. Run it with
+//   test_lstm --gtest_also_run_disabled_tests --gtest_filter='GateMath.DISABLED_*'
+TEST(GateMath, DISABLED_TanhMatchesLibmOnEveryFloat) {
+  const std::uint64_t threads = std::max(1u, std::thread::hardware_concurrency());
+  constexpr std::uint64_t kAll = std::uint64_t{1} << 32;
+  std::vector<Mismatches> bad(threads);
+  std::vector<std::thread> pool;
+  for (std::uint64_t t = 0; t < threads; ++t) {
+    pool.emplace_back([&bad, t, threads] {
+      bad[t] = compare_to_libm(kAll * t / threads, kAll * (t + 1) / threads, 1);
+    });
+  }
+  for (auto& th : pool) th.join();
+  for (std::uint64_t t = 0; t < threads; ++t) {
+    EXPECT_EQ(bad[t].count, 0u) << "first mismatch at bit pattern 0x" << std::hex << bad[t].first;
+  }
+}
 }  // namespace
 }  // namespace misuse::nn
