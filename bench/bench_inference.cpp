@@ -4,18 +4,16 @@
 // training-grade reference forward they must stay bit-identical to.
 //
 // Two families:
-//   * model_step — one LSTM+head forward per action: the engine under
-//     each kernel mode (scalar, avx2 if this host supports it) against
+//   * model_step — one LSTM+head forward per action: the engine against
 //     NextActionModel::step_into called directly (the reference row).
 //   * monitor_path — the full OnlineMonitor scoring path (routing,
 //     likelihood voting, alarms) per event, comparing the per-event
-//     loop against observe_batch's fused per-cluster steps under each
-//     kernel mode. This is the speedup the streaming server actually
-//     sees.
+//     loop against observe_batch's fused per-cluster steps. This is the
+//     speedup the streaming server actually sees.
 //
-// Timings are best-of-5 wall clock; outputs under scalar are
-// bit-identical to the reference by the engine's contract, so only time
-// may differ across rows.
+// Timings are best-of-5 wall clock; the engine's outputs are
+// bit-identical to the reference by contract, so only time may differ
+// across rows.
 //
 //   ./bench/bench_inference [--out=BENCH_inference.json] [--reduced]
 //
@@ -33,7 +31,6 @@
 
 #include "core/detector.hpp"
 #include "core/monitor.hpp"
-#include "nn/infer/dispatch.hpp"
 #include "nn/infer/engine.hpp"
 #include "nn/next_action_model.hpp"
 #include "synth/portal.hpp"
@@ -87,8 +84,7 @@ Row time_reference_step(const nn::NextActionModel& model, const std::vector<int>
   return {"reference_step", actions.size(), seconds};
 }
 
-Row time_engine_step(const std::string& mode, const nn::infer::LstmInferEngine& engine,
-                     const std::vector<int>& actions) {
+Row time_engine_step(const nn::infer::LstmInferEngine& engine, const std::vector<int>& actions) {
   nn::infer::EngineState state = engine.make_state();
   nn::infer::EngineScratch scratch;
   std::vector<float> probs;
@@ -96,7 +92,7 @@ Row time_engine_step(const std::string& mode, const nn::infer::LstmInferEngine& 
     state.reset();
     for (const int a : actions) engine.step(state, a, probs, scratch);
   });
-  return {mode, actions.size(), seconds};
+  return {"engine_step", actions.size(), seconds};
 }
 
 // --- monitor_path: the full scoring pipeline per event -----------------
@@ -165,24 +161,12 @@ double monitor_batched_pass(const core::MisuseDetector& detector,
 
 int main(int argc, char** argv) {
   using namespace misuse;
-  using nn::infer::InferMode;
   const CliArgs args(argc, argv);
-  const auto usage = [&](std::ostream& os) {
-    os << "usage: " << args.program() << " [--out=BENCH_inference.json] [--reduced]\n"
-       << "  --out=PATH  where to write the JSON record (default BENCH_inference.json)\n"
-       << "  --reduced   small workloads: the CI smoke configuration\n";
-  };
-  if (args.has("help")) {
-    usage(std::cout);
-    return 0;
-  }
-  for (const std::string& key : args.keys()) {
-    if (key != "out" && key != "reduced") {
-      std::cerr << "unknown flag --" << key << "\n";
-      usage(std::cerr);
-      return 2;
-    }
-  }
+  const std::string usage =
+      "usage: " + args.program() + " [--out=BENCH_inference.json] [--reduced]\n" +
+      "  --out=PATH  where to write the JSON record (default BENCH_inference.json)\n"
+      "  --reduced   small workloads: the CI smoke configuration\n";
+  if (const auto code = args.early_exit({"out", "reduced"}, usage)) return *code;
   const bool reduced = args.flag("reduced");
   const std::string out_path = args.str("out", "BENCH_inference.json");
   // Single-core: the engine's win must not depend on the pool.
@@ -203,12 +187,7 @@ int main(int argc, char** argv) {
 
   std::vector<Row> model_rows;
   model_rows.push_back(time_reference_step(model, actions));
-  nn::infer::set_infer_mode(InferMode::kScalar);
-  model_rows.push_back(time_engine_step("scalar", *engine, actions));
-  if (nn::infer::avx2_supported()) {
-    nn::infer::set_infer_mode(InferMode::kAvx2);
-    model_rows.push_back(time_engine_step("avx2", *engine, actions));
-  }
+  model_rows.push_back(time_engine_step(*engine, actions));
 
   // --- monitor_path workload ---
   const core::MisuseDetector detector = train_detector(reduced);
@@ -219,34 +198,20 @@ int main(int argc, char** argv) {
     streams[i] = random_actions(session_len, detector.vocab().size(), 100 + i);
   }
 
-  // The monitor-path variants are compared against each other, so their
-  // repetitions are interleaved round-robin: host clock-speed drift over
-  // the run (turbo, shared containers) then lands on every variant
-  // instead of biasing whichever family ran first.
-  struct MonitorVariant {
-    std::string mode;
-    InferMode infer;
-    bool batched;
-  };
-  std::vector<MonitorVariant> variants = {
-      {"per_event_scalar", InferMode::kScalar, false},
-      {"batched_scalar", InferMode::kScalar, true},
-  };
-  if (nn::infer::avx2_supported()) {
-    variants.push_back({"batched_avx2", InferMode::kAvx2, true});
-  }
-  std::vector<Row> monitor_rows;
+  // The two monitor-path variants are compared against each other, so
+  // their repetitions are interleaved: host clock-speed drift over the
+  // run (turbo, shared containers) then lands on both instead of biasing
+  // whichever ran first.
   const std::size_t monitor_steps = n_sessions * session_len;
-  for (const auto& v : variants) monitor_rows.push_back({v.mode, monitor_steps, 0.0});
+  std::vector<Row> monitor_rows = {{"per_event", monitor_steps, 0.0},
+                                   {"batched", monitor_steps, 0.0}};
   for (int rep = 0; rep < kRepetitions; ++rep) {
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-      nn::infer::set_infer_mode(variants[i].infer);
-      const double s = variants[i].batched ? monitor_batched_pass(detector, streams)
-                                           : monitor_per_event_pass(detector, streams);
+    for (std::size_t i = 0; i < monitor_rows.size(); ++i) {
+      const double s = i == 1 ? monitor_batched_pass(detector, streams)
+                              : monitor_per_event_pass(detector, streams);
       if (rep == 0 || s < monitor_rows[i].seconds) monitor_rows[i].seconds = s;
     }
   }
-  nn::infer::set_infer_mode(InferMode::kScalar);
 
   const double ref_step = model_rows.front().actions_per_sec();
   const double per_event = monitor_rows.front().actions_per_sec();
@@ -258,13 +223,12 @@ int main(int argc, char** argv) {
               static_cast<std::size_t>(std::thread::hardware_concurrency()));
   write_host_info(json);
   json.member("reduced", reduced);
-  json.member("avx2_supported", nn::infer::avx2_supported());
   json.member("note",
-              "Single-core actions/sec. model_step times the raw LSTM+head forward per kernel "
-              "mode against NextActionModel::step_into (reference_step); monitor_path times "
-              "the full OnlineMonitor pipeline, per-event loop vs observe_batch fusion, with "
-              "speedups over per_event_scalar. The scalar rows are bit-identical to "
-              "reference by contract; avx2 rows trade exactness for throughput (opt-in).");
+              "Single-core actions/sec. model_step times the engine's LSTM+head forward "
+              "(engine_step) against NextActionModel::step_into (reference_step); "
+              "monitor_path times the full OnlineMonitor pipeline, per-event loop vs "
+              "observe_batch fusion, with speedups over per_event. Every row's outputs are "
+              "bit-identical to the reference by contract.");
   json.key("model_step");
   json.begin_array();
   for (const auto& r : model_rows) {
@@ -287,7 +251,7 @@ int main(int argc, char** argv) {
     json.member("steps", r.steps);
     json.member("seconds", r.seconds);
     json.member("actions_per_sec", r.actions_per_sec());
-    json.member("speedup_vs_per_event_scalar",
+    json.member("speedup_vs_per_event",
                 per_event > 0.0 ? r.actions_per_sec() / per_event : 0.0);
     json.end_object();
   }

@@ -20,6 +20,8 @@
 //
 //   ./bench/bench_learn [--reduced] [--out=BENCH_learn.json]
 //       [--sessions=N] [--metrics-out=PATH]
+//
+// --help prints the usage; any other flag exits 2.
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -200,6 +202,16 @@ double run_serve_replay(const core::MisuseDetector& detector, const Workload& wo
 int main(int argc, char** argv) {
   using namespace misuse;
   const CliArgs args(argc, argv);
+  const std::string usage =
+      "usage: " + args.program() +
+      " [--reduced] [--out=BENCH_learn.json] [--sessions=N] [--metrics-out=PATH]\n" +
+      "  --reduced           small workloads: the CI smoke configuration\n"
+      "  --out=PATH          where to write the JSON record (default BENCH_learn.json)\n"
+      "  --sessions=N        sessions in the replayed trace (default 400; 48 with --reduced)\n"
+      "  --metrics-out=PATH  write the metrics/trace snapshot on exit\n";
+  if (const auto code = args.early_exit({"reduced", "out", "sessions", "metrics-out"}, usage)) {
+    return *code;
+  }
   const bool reduced = args.flag("reduced");
   const std::string out_path = args.str("out", "BENCH_learn.json");
   const auto session_count =

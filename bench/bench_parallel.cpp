@@ -15,6 +15,8 @@
 //
 //   ./bench/bench_parallel [--threads=1,2,4,8] [--out=BENCH_parallel.json] [--reduced]
 //
+// --help prints the usage; any other flag exits 2.
+//
 // --reduced shrinks the workloads and the default thread sweep to 1,2 —
 // the CI smoke configuration, which cares about "runs and writes valid
 // JSON", not about the timings themselves.
@@ -128,6 +130,13 @@ double time_monitor_batch(std::string_view stage, const core::MisuseDetector& de
 int main(int argc, char** argv) {
   using namespace misuse;
   const CliArgs args(argc, argv);
+  const std::string usage =
+      "usage: " + args.program() +
+      " [--threads=1,2,4,8] [--out=BENCH_parallel.json] [--reduced]\n" +
+      "  --threads=LIST  thread counts to time (default 1,2,4,8; 1,2 with --reduced)\n"
+      "  --out=PATH      where to write the JSON record (default BENCH_parallel.json)\n"
+      "  --reduced       small workloads: the CI smoke configuration\n";
+  if (const auto code = args.early_exit({"threads", "out", "reduced"}, usage)) return *code;
   const bool reduced = args.flag("reduced");
   const std::string out_path = args.str("out", "BENCH_parallel.json");
   std::vector<std::size_t> thread_counts;

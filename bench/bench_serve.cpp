@@ -36,7 +36,9 @@
 //       [--recovery-out=BENCH_recovery.json] [--swap-out=BENCH_swap.json]
 //       [--observe-out=BENCH_observe.json]
 //       [--cluster] [--cluster-out=BENCH_cluster.json]
-//       [--sessions=N] [--metrics-out=PATH]
+//       [--sessions=N] [--wal-sync=N] [--metrics-out=PATH]
+//
+// --help prints the usage; any other flag exits 2.
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -681,6 +683,28 @@ double best_of(const Fn& fn) {
 int main(int argc, char** argv) {
   using namespace misuse;
   const CliArgs args(argc, argv);
+  const std::string usage =
+      "usage: " + args.program() +
+      " [--reduced] [--out=BENCH_serve.json] [--recovery-out=BENCH_recovery.json]\n"
+      "    [--swap-out=BENCH_swap.json] [--observe-out=BENCH_observe.json]\n"
+      "    [--cluster] [--cluster-out=BENCH_cluster.json] [--sessions=N] [--wal-sync=N]\n"
+      "    [--metrics-out=PATH]\n" +
+      "  --reduced           small workloads: the CI smoke configuration\n"
+      "  --out=PATH          serving throughput record (default BENCH_serve.json)\n"
+      "  --recovery-out=PATH WAL tax and recovery record (default BENCH_recovery.json)\n"
+      "  --swap-out=PATH     hot-swap pause record (default BENCH_swap.json)\n"
+      "  --observe-out=PATH  operations-plane tax record (default BENCH_observe.json)\n"
+      "  --cluster           run only the multi-node scaling leg\n"
+      "  --cluster-out=PATH  multi-node scaling record (default BENCH_cluster.json)\n"
+      "  --sessions=N        sessions in the replayed trace (default 400; 48 with --reduced)\n"
+      "  --wal-sync=N        fsync each shard WAL every N appends in the recovery leg\n"
+      "  --metrics-out=PATH  write the metrics/trace snapshot on exit\n";
+  if (const auto code = args.early_exit({"reduced", "out", "recovery-out", "swap-out",
+                                         "observe-out", "cluster", "cluster-out", "sessions",
+                                         "wal-sync", "metrics-out"},
+                                        usage)) {
+    return *code;
+  }
   const bool reduced = args.flag("reduced");
   const std::string out_path = args.str("out", "BENCH_serve.json");
   const auto session_count =

@@ -96,11 +96,9 @@ class OnlineMonitor {
   /// runs as one batched forward per cluster across all monitors (the
   /// inference engine's step_batch), and only the distributions the
   /// next step reads (argmax and voted cluster) ever get a head +
-  /// softmax. With the scalar kernels this is bit-identical to feeding
-  /// the monitors one at a time, in any batch composition — sessions
-  /// only share read-only weights. Under the opt-in AVX2 mode results
-  /// stay ULP-close but can depend on batch composition (the tile and
-  /// single-row kernels reduce in different orders).
+  /// softmax. This is bit-identical to feeding the monitors one at a
+  /// time, in any batch composition — sessions only share read-only
+  /// weights.
   static void observe_batch(const MisuseDetector& detector,
                             std::span<OnlineMonitor* const> monitors,
                             std::span<const int> actions, std::span<StepResult> results);

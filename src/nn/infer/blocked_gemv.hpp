@@ -19,10 +19,7 @@
 // the compiler's FMA-contraction choice (on where the target has FMA and
 // contraction is on, off otherwise) is the same for both.
 //
-// Internal linkage on purpose: engine.cpp (baseline ISA) and
-// engine_avx2.cpp (-mavx2 -mfma) each compile their own copy, so the
-// linker can never fold one TU's instantiation into the other's and run
-// FMA code on the scalar path (or the reverse).
+// Internal linkage: engine.cpp is the one TU that includes this header.
 #pragma once
 
 #include <algorithm>

@@ -1,36 +1,13 @@
-// Runtime kernel selection for the inference engine (nn/infer/engine.hpp).
-//
-// Modes:
-//   scalar — the engine's scalar kernels, bit-identical to the
-//            training-grade forward (nn/lstm.cpp). The default.
-//   avx2   — the vectorized kernels (ULP-close to scalar, not
-//            bit-identical: the gate nonlinearities use a vectorized
-//            exp approximation). Strictly opt-in; silently falls back to
-//            scalar when not compiled in or unsupported by the CPU.
-//
-// Configured once per process via --infer / set_infer_mode(); the
-// MISUSEDET_INFER environment variable seeds the default.
+// The inference engine has one kernel path (nn/infer/engine.hpp); these
+// name it for tools that print the configuration they ran with.
 #pragma once
-
-#include <optional>
-#include <string_view>
 
 namespace misuse::nn::infer {
 
-enum class InferMode { kScalar, kAvx2 };
+enum class InferMode { kScalar };
 
-/// "scalar" | "avx2" -> mode; nullopt otherwise.
-std::optional<InferMode> parse_infer_mode(std::string_view name);
-const char* infer_mode_name(InferMode mode);
+inline const char* infer_mode_name(InferMode) { return "scalar"; }
 
-/// The configured mode (defaults to MISUSEDET_INFER, else scalar).
-InferMode infer_mode();
-void set_infer_mode(InferMode mode);
-
-/// The configured mode, resolved to scalar when AVX2 is unavailable.
-InferMode effective_infer_mode();
-
-/// AVX2 kernels are compiled in AND this CPU can run them (AVX2+FMA).
-bool avx2_supported();
+inline InferMode effective_infer_mode() { return InferMode::kScalar; }
 
 }  // namespace misuse::nn::infer

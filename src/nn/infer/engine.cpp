@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "nn/infer/blocked_gemv.hpp"
-#include "nn/infer/kernels.hpp"
 #include "nn/gate_math.hpp"
 #include "nn/lstm.hpp"
 #include "nn/next_action_model.hpp"
@@ -12,48 +11,14 @@
 
 namespace misuse::nn::infer {
 
-namespace {
-
-// --- Scalar kernel table ---------------------------------------------------
-//
-// Bit-identity contract: the scalar kernels must produce exactly the bits
-// of the reference forward (compute_gates / Dense::infer in nn/). The
-// GEMVs are blocked_gates / blocked_head (nn/infer/blocked_gemv.hpp),
-// which keep gemm_rows' per-element operation sequence and expression
-// shape, so the compiler makes the same contraction choice for both
-// whatever the flags. The nonlinearities/cell update are the helpers of
-// nn/gate_math.hpp that the reference cell calls too: the sigmoid and the
-// cell update's multiply-add inline, so both paths compile the same
-// expression, and the tanh one out-of-line lane-parallel function
-// (gate_tanh_span) that every path shares.
-
-void scalar_activate_update(float* gates, std::size_t hidden, float* c, float* h) {
-  lstm_activate_gates(gates, hidden);
-  lstm_cell_update(gates, hidden, c, h);
-}
-
-void scalar_softmax(const float* logits, std::size_t n, float* probs) {
-  (void)softmax_row(std::span<const float>(logits, n), std::span<float>(probs, n));
-}
-
-const Kernels* select_kernels() {
-  if (effective_infer_mode() == InferMode::kAvx2) {
-    if (const Kernels* k = avx2_kernels(); k != nullptr) return k;
-  }
-  return scalar_kernels();
-}
-
-}  // namespace
-
-const Kernels* scalar_kernels() {
-  static const Kernels kernels = {
-      &blocked_gates,
-      &scalar_activate_update,
-      &blocked_head,
-      &scalar_softmax,
-  };
-  return &kernels;
-}
+// Bit-identity contract: every step must produce exactly the bits of the
+// reference forward (compute_gates / Dense::infer in nn/). The GEMVs are
+// blocked_gates / blocked_head (nn/infer/blocked_gemv.hpp), which keep
+// gemm_rows' per-element operation sequence and expression shape, so the
+// compiler makes the same contraction choice for both whatever the
+// flags. The nonlinearities, the cell update and the softmax are the
+// helpers the reference cell and the trainer call too
+// (nn/gate_math.hpp, softmax_row).
 
 std::unique_ptr<LstmInferEngine> LstmInferEngine::build(const NextActionModel& model) {
   const ModelConfig& config = model.config();
@@ -87,7 +52,6 @@ void LstmInferEngine::step_batch(std::span<EngineState* const> states, std::span
   assert(states.size() == actions.size() && states.size() == probs.size());
   const std::size_t n = states.size();
   if (n == 0) return;
-  const Kernels* k = select_kernels();
   const std::size_t hidden = packed_.hidden;
   const std::size_t g4 = 4 * hidden;
   scratch.gates.resize(n * g4);
@@ -97,9 +61,10 @@ void LstmInferEngine::step_batch(std::span<EngineState* const> states, std::span
     scratch.h_rows[i] = states[i]->h.data();
     scratch.gate_rows[i] = scratch.gates.data() + i * g4;
   }
-  k->gates(packed_, scratch.h_rows.data(), actions.data(), scratch.gate_rows.data(), n);
+  blocked_gates(packed_, scratch.h_rows.data(), actions.data(), scratch.gate_rows.data(), n);
   for (std::size_t i = 0; i < n; ++i) {
-    k->activate_update(scratch.gate_rows[i], hidden, states[i]->c.data(), states[i]->h.data());
+    lstm_activate_gates(scratch.gate_rows[i], hidden);
+    lstm_cell_update(scratch.gate_rows[i], hidden, states[i]->c.data(), states[i]->h.data());
   }
   if (defer_heads) return;
   scratch.logit_rows.resize(n);
@@ -108,19 +73,16 @@ void LstmInferEngine::step_batch(std::span<EngineState* const> states, std::span
     scratch.logit_rows[i] = probs[i]->data();
   }
   // h advanced in place above; h_rows still point at the live storage.
-  k->head(packed_, scratch.h_rows.data(), scratch.logit_rows.data(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    k->softmax(scratch.logit_rows[i], packed_.head_out, scratch.logit_rows[i]);
-  }
+  blocked_head(packed_, scratch.h_rows.data(), scratch.logit_rows.data(), n);
+  for (std::size_t i = 0; i < n; ++i) (void)softmax_row(*probs[i], *probs[i]);
 }
 
 void LstmInferEngine::finish_probs(const EngineState& state, std::vector<float>& probs) const {
-  const Kernels* k = select_kernels();
   probs.resize(packed_.head_out);
   const float* h = state.h.data();
   float* logits = probs.data();
-  k->head(packed_, &h, &logits, 1);
-  k->softmax(logits, packed_.head_out, logits);
+  blocked_head(packed_, &h, &logits, 1);
+  (void)softmax_row(probs, probs);
 }
 
 }  // namespace misuse::nn::infer

@@ -2,17 +2,15 @@
 // LSTM layer + dense softmax head — the shape every trained detector
 // cluster uses). Weights are packed once at detector-load time, the GEMV
 // operands column-block-major (nn/infer/packed.hpp); per-step scoring
-// then runs allocation-free through the kernel table selected by
-// nn/infer/dispatch.hpp, whose GEMVs keep a register tile of several
+// then runs allocation-free; its GEMVs keep a register tile of several
 // batch rows across the whole hidden loop (nn/infer/blocked_gemv.hpp).
 //
-// Contract: with the scalar kernels, step() and step_batch() (one fused
-// call over all rows, deferred heads recovered by finish_probs) are
-// bit-identical to NextActionModel::step_into on the same weights and
-// state — proven by tests/test_infer.cpp — so every determinism
-// guarantee (WAL replay, hot swap, server-vs-offline, cross-session
-// batches) survives the fast path. The avx2 kernels are ULP-bounded
-// instead.
+// Contract: step() and step_batch() (one fused call over all rows,
+// deferred heads recovered by finish_probs) are bit-identical to
+// NextActionModel::step_into on the same weights and state — proven by
+// tests/test_infer.cpp — so every determinism guarantee (WAL replay, hot
+// swap, server-vs-offline, cross-session batches) survives the fast
+// path.
 #pragma once
 
 #include <algorithm>
@@ -21,7 +19,6 @@
 #include <span>
 #include <vector>
 
-#include "nn/infer/dispatch.hpp"
 #include "nn/infer/packed.hpp"
 
 namespace misuse::nn {
@@ -68,9 +65,8 @@ class LstmInferEngine {
             EngineScratch& scratch) const;
 
   /// Batched variant: states[i] advances on actions[i] into *probs[i].
-  /// All rows run through one fused kernel call per layer; with the
-  /// scalar table the result is bit-identical to n calls of step() in
-  /// order, with avx2 it stays in the ULP envelope. step() is this with
+  /// All rows run through one fused kernel call per layer; the result
+  /// is bit-identical to n calls of step() in order. step() is this with
   /// n == 1.
   ///
   /// With defer_heads (n == 1 included) the states advance but the head
@@ -82,9 +78,9 @@ class LstmInferEngine {
                   bool defer_heads = false) const;
 
   /// Head + softmax only, from the state's current h (i.e. the
-  /// distribution the last step() / step_batch() advance implies). With
-  /// the scalar kernels this is the exact tail of step(), so a deferred
-  /// batch step + finish_probs stays bit-identical to the eager step.
+  /// distribution the last step() / step_batch() advance implies). This
+  /// is the exact tail of step(), so a deferred batch step +
+  /// finish_probs stays bit-identical to the eager step.
   void finish_probs(const EngineState& state, std::vector<float>& probs) const;
 
  private:

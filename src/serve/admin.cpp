@@ -229,7 +229,6 @@ std::string AdminServer::render_statusz() const {
     json.member("model_version",
                 hooks_.model_version ? hooks_.model_version() : server_.current_model().version);
     json.member("canary_version", hooks_.canary_version ? hooks_.canary_version() : "");
-    json.member("infer_kernel", config_.infer_kernel);
     json.member("host_cores", host_info().cores);
     json.member("shards", shards.size());
     json.member("sessions_active", server_.active_sessions());

@@ -43,7 +43,6 @@ struct AdminHooks {
 struct AdminConfig {
   std::uint16_t port = 0;  // 0 binds an ephemeral port (read back via port())
   std::string host = "0.0.0.0";
-  std::string infer_kernel;  // effective inference kernel, surfaced in /statusz
   double read_timeout_seconds = 5.0;
 };
 

@@ -25,8 +25,8 @@
 //     OnlineMonitor::observe_batch per pinned detector across all of
 //     them (the shards share the weights, so one weight pass serves
 //     every ready session), commits in arrival order, and group-commits
-//     each WAL once. With the scalar kernels the verdicts are
-//     bit-identical to scoring the events one at a time.
+//     each WAL once. The verdicts are bit-identical to scoring the
+//     events one at a time.
 #pragma once
 
 #include <atomic>

@@ -242,7 +242,7 @@ void log_softmax(std::span<const float> logits, std::span<float> out) {
   assert(!logits.empty());
   const float mx = *std::max_element(logits.begin(), logits.end());
   float sum = 0.0f;
-  for (float v : logits) sum += std::exp(v - mx);
+  for (float v : logits) sum += exp_float(v - mx);
   const float log_z = mx + std::log(sum);
   for (std::size_t i = 0; i < logits.size(); ++i) out[i] = logits[i] - log_z;
 }
@@ -265,8 +265,6 @@ void tanh_inplace(std::span<float> xs) {
   for (auto& v : xs) v = std::tanh(v);
 }
 
-void sigmoid_inplace(std::span<float> xs) {
-  for (auto& v : xs) v = 1.0f / (1.0f + std::exp(-v));
-}
+void sigmoid_inplace(std::span<float> xs) { sigmoid_span(xs.data(), xs.size()); }
 
 }  // namespace misuse

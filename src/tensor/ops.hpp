@@ -13,6 +13,7 @@
 #include <cmath>
 #include <span>
 
+#include "tensor/exp.hpp"
 #include "tensor/matrix.hpp"
 
 namespace misuse {
@@ -27,17 +28,16 @@ struct RowSoftmax {
 /// Numerically stable softmax of `logits_row` into `probs_row` (aliasing
 /// the two spans is fine — each element is read before it is written).
 /// The sum is accumulated in double so the normalizer doesn't lose bits
-/// on wide rows; every consumer of a softmax'd distribution (training
-/// loss, NextActionModel::step, the fused inference kernels) shares this
-/// one definition so their outputs stay bit-identical to each other.
+/// on wide rows; the exp is the repo's own (tensor/exp.hpp). Every
+/// consumer of a softmax'd distribution (training loss,
+/// NextActionModel::step, the inference engine) shares this one
+/// definition so their outputs stay bit-identical to each other.
 inline RowSoftmax softmax_row(std::span<const float> logits_row, std::span<float> probs_row) {
   const float mx = *std::max_element(logits_row.begin(), logits_row.end());
+  for (std::size_t j = 0; j < logits_row.size(); ++j) probs_row[j] = logits_row[j] - mx;
+  exp_span(probs_row.data(), probs_row.size());
   double sum = 0.0;
-  for (std::size_t j = 0; j < logits_row.size(); ++j) {
-    const float e = std::exp(logits_row[j] - mx);
-    probs_row[j] = e;
-    sum += e;
-  }
+  for (const float e : probs_row) sum += e;
   const float inv = static_cast<float>(1.0 / sum);
   for (auto& p : probs_row) p *= inv;
   return {mx, static_cast<float>(std::log(sum))};

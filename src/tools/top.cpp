@@ -214,10 +214,9 @@ void render(const std::string& host, std::uint16_t port, const std::vector<JsonF
   const double uptime = field_number(statusz, "uptime_seconds").value_or(0.0);
   const std::string model = get_string(statusz, "model_version").value_or("");
   const std::string canary = get_string(statusz, "canary_version").value_or("");
-  const std::string kernel = get_string(statusz, "infer_kernel").value_or("?");
   out << "misusedet_top — " << host << ":" << port << "   up " << fmt(uptime) << "s   model "
       << (model.empty() ? "(unversioned)" : model)
-      << (canary.empty() ? "" : "  canary " + canary) << "   kernel " << kernel << "\n";
+      << (canary.empty() ? "" : "  canary " + canary) << "\n";
 
   const double sessions = field_number(statusz, "sessions_active").value_or(0);
   const double limit = field_number(statusz, "sessions_limit").value_or(0);

@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace misuse {
@@ -72,6 +73,22 @@ std::vector<std::string> CliArgs::keys() const {
   out.reserve(values_.size());
   for (const auto& [k, v] : values_) out.push_back(k);
   return out;
+}
+
+std::optional<int> CliArgs::early_exit(std::initializer_list<std::string_view> known,
+                                       std::string_view usage, std::ostream& out,
+                                       std::ostream& err) const {
+  if (has("help")) {
+    out << usage;
+    return 0;
+  }
+  for (const auto& [key, value] : values_) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      err << "unknown flag --" << key << "\n" << usage;
+      return 2;
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace misuse

@@ -4,8 +4,12 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <iostream>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace misuse {
@@ -31,6 +35,14 @@ class CliArgs {
 
   /// Flags present on the command line, for --help/typo reporting.
   std::vector<std::string> keys() const;
+
+  /// For a binary that takes exactly the `known` flags: with --help,
+  /// prints `usage` to out and returns 0; with any other flag outside
+  /// `known`, names it and prints `usage` to err and returns 2;
+  /// otherwise returns nullopt and the binary runs.
+  std::optional<int> early_exit(std::initializer_list<std::string_view> known,
+                                std::string_view usage, std::ostream& out = std::cout,
+                                std::ostream& err = std::cerr) const;
 
  private:
   std::string program_;

@@ -192,7 +192,6 @@ TEST_F(AdminFixture, StatuszIsOneFlatJsonLine) {
   config.shards = 3;
   ScoringServer server(*detector_, config);
   AdminConfig admin_config;
-  admin_config.infer_kernel = "scalar";
   AdminServer admin(server, admin_config);
 
   std::vector<OutputRecord> out;
@@ -213,7 +212,6 @@ TEST_F(AdminFixture, StatuszIsOneFlatJsonLine) {
   EXPECT_EQ(get_number(fields, "shards"), 3.0);
   EXPECT_GT(get_number(fields, "sessions_active").value_or(-1.0), 0.0);
   EXPECT_GE(get_number(fields, "uptime_seconds").value_or(-1.0), 0.0);
-  EXPECT_EQ(get_string(fields, "infer_kernel"), "scalar");
   EXPECT_EQ(get_string(fields, "wal_enabled"), "false");
   EXPECT_EQ(get_number(fields, "next_seq"), static_cast<double>(events.size() + 1));
   for (std::size_t k = 0; k < 3; ++k) {

@@ -93,6 +93,17 @@ TEST(Cli, KeysListsAllFlags) {
   EXPECT_EQ(keys[1], "b");
 }
 
+TEST(Cli, EarlyExitOnHelpAndUnknownFlags) {
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(make({"--out=x", "--no-reduced"}).early_exit({"out", "reduced"}, "use\n", out, err),
+            std::nullopt);
+  EXPECT_EQ(make({"--help", "--bogus"}).early_exit({"out"}, "use\n", out, err), 0);
+  EXPECT_EQ(out.str(), "use\n");
+  EXPECT_EQ(make({"--out=x", "--bogus=1"}).early_exit({"out"}, "use\n", out, err), 2);
+  EXPECT_EQ(err.str(), "unknown flag --bogus\nuse\n");
+}
+
 TEST(Cli, ProgramName) {
   const auto args = make({});
   EXPECT_EQ(args.program(), "prog");

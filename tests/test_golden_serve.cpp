@@ -1,10 +1,10 @@
 // Golden-file regression test for the serving path: a committed tiny
 // trained detector plus a committed interleaved NDJSON trace, replayed
-// through the installed misusedet_serve binary with --infer=scalar, must
-// reproduce the committed output byte for byte. This pins the entire
-// chain — archive loading, engine packing, scalar kernels (bit-identical
-// to the reference forward by contract), routing, alarm policy, JSON
-// rendering — against silent drift.
+// through the installed misusedet_serve binary, must reproduce the
+// committed output byte for byte. This pins the entire chain — archive
+// loading, engine packing, the inference kernels (bit-identical to the
+// reference forward by contract), routing, alarm policy, JSON rendering
+// — against silent drift.
 //
 // The goldens are tied to the floating-point contraction behavior of the
 // build that generated them (same compiler family and -march flags as
@@ -123,7 +123,7 @@ void expect_same_lines(const std::string& expected, const std::string& actual) {
 std::string run_serve_scalar(const std::string& out_path,
                              const std::string& model_path = kDetectorPath) {
   const std::string command = std::string(MISUSEDET_SERVE_BIN) + " --model=" + model_path +
-                              " --infer=scalar --shards=1 --threads=1 --batch=64 < " +
+                              " --shards=1 --threads=1 --batch=64 < " +
                               kTracePath + " > " + out_path + " 2> " + out_path + ".err";
   const int rc = std::system(command.c_str());
   EXPECT_EQ(rc, 0) << "serve exited " << rc << "\nstderr:\n" << read_file(out_path + ".err");

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "nn/gate_math.hpp"
+#include "tensor/exp.hpp"
 
 namespace misuse::nn {
 namespace {
@@ -207,14 +208,32 @@ INSTANTIATE_TEST_SUITE_P(Sizes, LstmSizeSweep,
                          ::testing::Values(std::make_pair(2u, 1u), std::make_pair(3u, 8u),
                                            std::make_pair(16u, 4u), std::make_pair(64u, 32u)));
 
-// --- GateMath: the repo's tanh against libm --------------------------------
+// --- GateMath: the repo's tanh and exp against libm -----------------------
 
-// The reference is the libm call itself: the volatile keeps the compiler
-// from folding std::tanh of a known argument to a correctly rounded
-// constant, which fdlibm's tanhf need not be.
+// The references are the libm calls themselves: the volatile keeps the
+// compiler from folding std::tanh or std::exp of a known argument to a
+// correctly rounded constant, which libm's results need not be.
 float libm_tanh(float x) {
   volatile float v = x;
   return std::tanh(v);
+}
+
+float libm_exp(float x) {
+  volatile float v = x;
+  return std::exp(v);
+}
+
+float libm_sigmoid(float x) { return 1.0f / (1.0f + libm_exp(-x)); }
+
+// glibc runs the expf that tensor/exp.cpp transcribes only on CPUs with
+// FMA and AVX2; elsewhere it picks a variant without fused multiply-adds,
+// whose results differ on a few inputs.
+bool libm_runs_fma_expf() {
+#if defined(__x86_64__) || defined(__i386__)
+  return __builtin_cpu_supports("fma") && __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
 }
 
 float from_bits(std::uint32_t b) { return std::bit_cast<float>(b); }
@@ -234,9 +253,11 @@ struct Mismatches {
   }
 };
 
-// Checks gate_tanh and gate_tanh_span against libm on the bit patterns
-// first, first + stride, ... below last.
-Mismatches compare_to_libm(std::uint64_t first, std::uint64_t last, std::uint64_t stride) {
+// Runs a function's scalar and span forms on the bit patterns first,
+// first + stride, ... below last and compares both with want.
+Mismatches compare_forms(std::uint64_t first, std::uint64_t last, std::uint64_t stride,
+                         float (*scalar)(float), void (*span_form)(float*, std::size_t),
+                         float (*want)(float)) {
   constexpr std::size_t kChunk = 4096;
   Mismatches bad;
   std::vector<std::uint32_t> bits;
@@ -250,24 +271,80 @@ Mismatches compare_to_libm(std::uint64_t first, std::uint64_t last, std::uint64_
       bits.push_back(static_cast<std::uint32_t>(b));
       span.push_back(from_bits(bits.back()));
     }
-    gate_tanh_span(span.data(), span.size());
+    span_form(span.data(), span.size());
     for (std::size_t i = 0; i < bits.size(); ++i) {
       const float x = from_bits(bits[i]);
-      const float want = libm_tanh(x);
-      if (!same_result(gate_tanh(x), want) || !same_result(span[i], want)) bad.add(bits[i]);
+      const float expected = want(x);
+      if (!same_result(scalar(x), expected) || !same_result(span[i], expected)) bad.add(bits[i]);
     }
   }
   return bad;
 }
 
+float sigmoid_scalar(float x) { return 1.0f / (1.0f + exp_float(-x)); }
+
+// Each activation's scalar and span forms.
+struct Forms {
+  float (*scalar)(float);
+  void (*span)(float*, std::size_t);
+};
+constexpr Forms kForms[] = {
+    {gate_tanh, gate_tanh_span}, {exp_float, exp_span}, {sigmoid_scalar, sigmoid_span}};
+
+Mismatches compare_tanh_to_libm(std::uint64_t first, std::uint64_t last, std::uint64_t stride) {
+  return compare_forms(first, last, stride, gate_tanh, gate_tanh_span, libm_tanh);
+}
+
+// exp_float and exp_span against std::exp, and sigmoid_span against the
+// sigmoid on std::exp.
+Mismatches compare_exp_to_libm(std::uint64_t first, std::uint64_t last, std::uint64_t stride) {
+  Mismatches bad = compare_forms(first, last, stride, exp_float, exp_span, libm_exp);
+  const Mismatches sigmoid =
+      compare_forms(first, last, stride, sigmoid_scalar, sigmoid_span, libm_sigmoid);
+  if (bad.count == 0) bad.first = sigmoid.first;
+  bad.count += sigmoid.count;
+  return bad;
+}
+
+// Splits [0, 2^32) over the hardware threads and runs compare on each part.
+template <typename Compare>
+void compare_every_float(Compare compare) {
+  const std::uint64_t threads = std::max(1u, std::thread::hardware_concurrency());
+  constexpr std::uint64_t kAll = std::uint64_t{1} << 32;
+  std::vector<Mismatches> bad(threads);
+  std::vector<std::thread> pool;
+  for (std::uint64_t t = 0; t < threads; ++t) {
+    pool.emplace_back([&bad, &compare, t, threads] {
+      bad[t] = compare(kAll * t / threads, kAll * (t + 1) / threads, 1);
+    });
+  }
+  for (auto& th : pool) th.join();
+  for (std::uint64_t t = 0; t < threads; ++t) {
+    EXPECT_EQ(bad[t].count, 0u) << "first mismatch at bit pattern 0x" << std::hex << bad[t].first;
+  }
+}
+
+// Both signs of each magnitude.
+std::vector<float> with_both_signs(const std::vector<std::uint32_t>& magnitudes) {
+  std::vector<float> out;
+  for (std::uint32_t m : magnitudes) {
+    out.push_back(from_bits(m));
+    out.push_back(from_bits(m | 0x80000000u));
+  }
+  return out;
+}
+
+// 0, denormals, FLT_MIN, FLT_MAX, infinity.
+const std::vector<std::uint32_t> kSpecialMagnitudes = {0x00000000, 0x00000001, 0x00000002,
+                                                       0x00400000, 0x007fffff, 0x00800000,
+                                                       0x7f7fffff, 0x7f800000};
+
 // Every threshold of the transcription (on |x|, or on expm1's argument
 // u = +-2|x| mapped back to |x|) and the floats on each side of it, plus
 // windows around the k where expm1's reconstruction switches formula,
 // +-0, denormals, FLT_MIN, FLT_MAX and infinity; both signs.
-std::vector<float> edge_inputs() {
-  // 0, denormals, FLT_MIN, FLT_MAX, infinity.
-  std::vector<std::uint32_t> magnitudes = {0x00000000, 0x00000001, 0x00000002, 0x00400000,
-                                           0x007fffff, 0x00800000, 0x7f7fffff, 0x7f800000};
+std::vector<float> tanh_edge_inputs() {
+  std::vector<std::uint32_t> magnitudes = kSpecialMagnitudes;
   const std::uint32_t thresholds[] = {
       0x41b00000,               // 22: tanh saturates
       0x24000000,               // 2^-55: tanh(x) = x
@@ -288,20 +365,60 @@ std::vector<float> edge_inputs() {
         std::bit_cast<std::uint32_t>(static_cast<float>((k - 0.5) * std::numbers::ln2 / 2.0));
     for (std::uint32_t b = mid - 64; b <= mid + 64; ++b) magnitudes.push_back(b);
   }
-  std::vector<float> out;
-  for (std::uint32_t m : magnitudes) {
-    out.push_back(from_bits(m));
-    out.push_back(from_bits(m | 0x80000000u));
-  }
-  return out;
+  return with_both_signs(magnitudes);
 }
+
+// Each threshold of the transcription and the floats on each side of it
+// (|x| = 88; x = log(2^128), log(2^-150) and log(2^-149) as magnitudes),
+// +-0, denormals, FLT_MIN, FLT_MAX and infinity; both signs.
+std::vector<float> exp_edge_inputs() {
+  std::vector<std::uint32_t> magnitudes = kSpecialMagnitudes;
+  for (const std::uint32_t t : {0x42b00000u, 0x42b17217u, 0x42cff1b4u, 0x42ce8ecfu}) {
+    for (std::uint32_t b = t - 1; b <= t + 1; ++b) magnitudes.push_back(b);
+  }
+  return with_both_signs(magnitudes);
+}
+
+// Inputs with their expf bits on an FMA+AVX2 CPU. The first rows are the
+// floats whose double-precision result lies closest to a float rounding
+// boundary (0 to 9 double ulps away), where a change to the evaluation
+// shows first; 0xc27c65d9 is one of the two floats where r computed
+// without its fma rounds differently. The last rows are the thresholds.
+constexpr std::uint32_t kExpPinned[][2] = {
+    {0x3e73ade2, 0x3fa263bc},  // x = 0x1.e75bc4p-3
+    {0xbfde3004, 0x3e347b6a},  // x = -0x1.bc6008p+0
+    {0xb3000000, 0x3f800000},  // x = -0x1p-25
+    {0xbbe861b2, 0x3f7e30e1},  // x = -0x1.d0c364p-8
+    {0x3d8932e8, 0x3f88de62},  // x = 0x1.1265dp-4
+    {0x400d98c7, 0x4112358e},  // x = 0x1.1b318ep+1
+    {0x3b37991a, 0x3f805bee},  // x = 0x1.6f3234p-9
+    {0xba253b54, 0x3f7fd6b4},  // x = -0x1.4a76a8p-11
+    {0x337fffff, 0x3f800000},  // x = 0x1.fffffep-25
+    {0x33800000, 0x3f800001},  // x = 0x1p-24
+    {0x343fffff, 0x3f800002},  // x = 0x1.7ffffep-23
+    {0x34dffffd, 0x3f800004},  // x = 0x1.bffffap-22
+    {0x37ff7f01, 0x3f800100},  // x = 0x1.fefe02p-16
+    {0x356ffff9, 0x3f800008},  // x = 0x1.dffff2p-21
+    {0x3b0b4517, 0x3f8045b5},  // x = 0x1.168a2ep-9
+    {0x3fbe11a6, 0x408d4445},  // x = 0x1.7c234cp+0
+    {0x40143eb5, 0x412236c5},  // x = 0x1.287d6ap+1
+    {0x4202422f, 0x56fc9f1c},  // x = 0x1.04845ep+5
+    {0xc27c65d9, 0x11fa2993},  // x = -0x1.f8cbb2p+5
+    {0x42b00000, 0x7ef882b7},  // 88
+    {0x42b17217, 0x7f7fff84},  // log(2^128), rounded down
+    {0x42b17218, 0x7f800000},  // above it: +inf
+    {0xc2cff1b4, 0x00000001},  // -log(2^150), rounded down in magnitude
+    {0xc2cff1b5, 0x00000000},  // below it: 0
+    {0xc2ce8ecf, 0x00000001},  // -log(2^149), rounded down in magnitude
+    {0xc2ce8ed0, 0x00000001},  // below it: 2^-149
+};
 
 TEST(GateMath, TanhMatchesLibmOnSweepAndEdges) {
   // Every 1021st bit pattern: ~4.2M inputs over all exponents and signs.
-  const Mismatches sweep = compare_to_libm(0, std::uint64_t{1} << 32, 1021);
+  const Mismatches sweep = compare_tanh_to_libm(0, std::uint64_t{1} << 32, 1021);
   EXPECT_EQ(sweep.count, 0u) << "first mismatch at bit pattern 0x" << std::hex << sweep.first;
 
-  std::vector<float> edges = edge_inputs();
+  std::vector<float> edges = tanh_edge_inputs();
   std::vector<float> span = edges;
   gate_tanh_span(span.data(), span.size());
   for (std::size_t i = 0; i < edges.size(); ++i) {
@@ -314,62 +431,97 @@ TEST(GateMath, TanhMatchesLibmOnSweepAndEdges) {
   EXPECT_TRUE(std::signbit(gate_tanh(-0.0f)));
 }
 
+TEST(GateMath, ExpMatchesLibmOnSweepAndEdges) {
+  if (!libm_runs_fma_expf()) GTEST_SKIP() << "libm's expf is not the FMA variant on this CPU";
+  // Every 1021st bit pattern: ~4.2M inputs over all exponents and signs.
+  const Mismatches sweep = compare_exp_to_libm(0, std::uint64_t{1} << 32, 1021);
+  EXPECT_EQ(sweep.count, 0u) << "first mismatch at bit pattern 0x" << std::hex << sweep.first;
+
+  std::vector<float> edges = exp_edge_inputs();
+  for (const auto& [in, out] : kExpPinned) edges.push_back(from_bits(in));
+  std::vector<float> exps = edges;
+  std::vector<float> sigmoids = edges;
+  exp_span(exps.data(), exps.size());
+  sigmoid_span(sigmoids.data(), sigmoids.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const float x = edges[i];
+    EXPECT_TRUE(same_result(exp_float(x), libm_exp(x))) << "x = " << std::hexfloat << x;
+    EXPECT_TRUE(same_result(exps[i], libm_exp(x))) << "x = " << std::hexfloat << x;
+    EXPECT_TRUE(same_result(sigmoids[i], libm_sigmoid(x))) << "x = " << std::hexfloat << x;
+  }
+}
+
+TEST(GateMath, ExpGivesPinnedBitsOnAnyCpu) {
+  std::vector<float> span;
+  for (const auto& [in, out] : kExpPinned) span.push_back(from_bits(in));
+  exp_span(span.data(), span.size());
+  for (std::size_t i = 0; i < span.size(); ++i) {
+    const auto [in, out] = kExpPinned[i];
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(exp_float(from_bits(in))), out) << std::hex << in;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(span[i]), out) << std::hex << in;
+  }
+  EXPECT_EQ(exp_float(0.0f), 1.0f);
+  EXPECT_EQ(exp_float(-0.0f), 1.0f);
+  EXPECT_EQ(exp_float(-INFINITY), 0.0f);
+  EXPECT_EQ(exp_float(INFINITY), INFINITY);
+  EXPECT_EQ(exp_float(-FLT_MAX), 0.0f);
+  EXPECT_EQ(exp_float(FLT_MAX), INFINITY);
+}
+
 TEST(GateMath, NanInputGivesNan) {
   std::vector<float> nans = {from_bits(0x7fc00000), from_bits(0x7f800001), from_bits(0xffc00000),
                              from_bits(0x7fffffff), from_bits(0xff800001)};
   // Padded past the widest lane count so the NaNs also run in vector lanes.
   nans.resize(40, nans.front());
-  std::vector<float> span = nans;
-  gate_tanh_span(span.data(), span.size());
-  for (std::size_t i = 0; i < nans.size(); ++i) {
-    EXPECT_TRUE(std::isnan(gate_tanh(nans[i]))) << i;
-    EXPECT_TRUE(std::isnan(span[i])) << i;
+  for (const auto& [scalar, span_form] : kForms) {
+    std::vector<float> span = nans;
+    span_form(span.data(), span.size());
+    for (std::size_t i = 0; i < nans.size(); ++i) {
+      EXPECT_TRUE(std::isnan(scalar(nans[i]))) << i;
+      EXPECT_TRUE(std::isnan(span[i])) << i;
+    }
   }
 }
 
 TEST(GateMath, SpanMatchesScalarAtEveryLengthAndOffset) {
   // Lengths 0 .. 2 * 16 + 1 cover two full vectors and a tail at every
-  // lane width the build can pick (4, 8 or 16); the span starts one float
+  // lane width the build can pick (2 to 16); the span starts one float
   // into the buffer, so it is not vector-aligned.
   constexpr std::size_t kMaxLanes = 16;
   constexpr float kGuard = 12345.0f;
   Rng rng(41);
-  for (std::size_t n = 0; n <= 2 * kMaxLanes + 1; ++n) {
-    std::vector<float> x(n + 2, kGuard);
-    for (std::size_t j = 1; j <= n; ++j) {
-      x[j] = static_cast<float>(rng.uniform(-25.0, 25.0));
-    }
-    if (n >= 3) {
-      x[1] = 0.0f;
-      x[2] = -1.0f;
-      x[n] = INFINITY;
-    }
-    const std::vector<float> in = x;
-    gate_tanh_span(x.data() + 1, n);
-    EXPECT_EQ(x.front(), kGuard) << "n=" << n;
-    EXPECT_EQ(x.back(), kGuard) << "n=" << n;
-    for (std::size_t j = 1; j <= n; ++j) {
-      EXPECT_TRUE(same_result(x[j], gate_tanh(in[j]))) << "n=" << n << " j=" << j;
+  for (const auto& [scalar, span_form] : kForms) {
+    for (std::size_t n = 0; n <= 2 * kMaxLanes + 1; ++n) {
+      std::vector<float> x(n + 2, kGuard);
+      for (std::size_t j = 1; j <= n; ++j) {
+        x[j] = static_cast<float>(rng.uniform(-110.0, 110.0));
+      }
+      if (n >= 3) {
+        x[1] = 0.0f;
+        x[2] = -1.0f;
+        x[n] = INFINITY;
+      }
+      const std::vector<float> in = x;
+      span_form(x.data() + 1, n);
+      EXPECT_EQ(x.front(), kGuard) << "n=" << n;
+      EXPECT_EQ(x.back(), kGuard) << "n=" << n;
+      for (std::size_t j = 1; j <= n; ++j) {
+        EXPECT_TRUE(same_result(x[j], scalar(in[j]))) << "n=" << n << " j=" << j;
+      }
     }
   }
 }
 
-// All 2^32 floats; ~16 s on 4 cores. Run it with
+// All 2^32 floats; ~16 s on 4 cores each. Run them with
 //   test_lstm --gtest_also_run_disabled_tests --gtest_filter='GateMath.DISABLED_*'
 TEST(GateMath, DISABLED_TanhMatchesLibmOnEveryFloat) {
-  const std::uint64_t threads = std::max(1u, std::thread::hardware_concurrency());
-  constexpr std::uint64_t kAll = std::uint64_t{1} << 32;
-  std::vector<Mismatches> bad(threads);
-  std::vector<std::thread> pool;
-  for (std::uint64_t t = 0; t < threads; ++t) {
-    pool.emplace_back([&bad, t, threads] {
-      bad[t] = compare_to_libm(kAll * t / threads, kAll * (t + 1) / threads, 1);
-    });
-  }
-  for (auto& th : pool) th.join();
-  for (std::uint64_t t = 0; t < threads; ++t) {
-    EXPECT_EQ(bad[t].count, 0u) << "first mismatch at bit pattern 0x" << std::hex << bad[t].first;
-  }
+  compare_every_float(compare_tanh_to_libm);
 }
+
+TEST(GateMath, DISABLED_ExpMatchesLibmOnEveryFloat) {
+  if (!libm_runs_fma_expf()) GTEST_SKIP() << "libm's expf is not the FMA variant on this CPU";
+  compare_every_float(compare_exp_to_libm);
+}
+
 }  // namespace
 }  // namespace misuse::nn
