@@ -136,7 +136,7 @@ double monitor_per_event_pass(const core::MisuseDetector& detector,
 }
 
 // Batched loop: one observe_batch per step across all live sessions —
-// what SessionShard::process_batch does on the server's hot path.
+// what ScoringServer::submit_batch does on the server's hot path.
 double monitor_batched_pass(const core::MisuseDetector& detector,
                             const std::vector<std::vector<int>>& streams) {
   const std::size_t steps_per = streams.front().size();

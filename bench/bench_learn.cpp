@@ -22,6 +22,7 @@
 //       [--sessions=N] [--metrics-out=PATH]
 //
 // --help prints the usage; any other flag exits 2.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -29,6 +30,7 @@
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -133,7 +135,6 @@ double run_serve_replay(const core::MisuseDetector& detector, const Workload& wo
   fs::create_directories(wal_dir);
   serve::ServeConfig config;
   config.shards = 4;
-  config.queue_capacity = 512;
   config.emit_steps = true;
   config.wal_dir = wal_dir;
   serve::ScoringServer server(detector, config);
@@ -172,19 +173,12 @@ double run_serve_replay(const core::MisuseDetector& detector, const Workload& wo
   std::vector<serve::OutputRecord> out;
   out.reserve(4096);
   const auto start = std::chrono::steady_clock::now();
-  std::size_t since_pump = 0;
-  for (const auto& event : workload.events) {
-    while (server.enqueue(event, out) == serve::ScoringServer::Enqueue::kQueueFull) {
-      server.pump(out);
-      out.clear();
-    }
-    if (++since_pump >= 256) {
-      server.pump(out);
-      out.clear();
-      since_pump = 0;
-    }
+  const std::span<const serve::Event> events(workload.events);
+  for (std::size_t begin = 0; begin < events.size(); begin += 256) {
+    server.submit_batch(events.subspan(begin, std::min<std::size_t>(256, events.size() - begin)),
+                        out);
+    out.clear();
   }
-  server.pump(out);
   const double seconds = seconds_since(start);
   std::vector<serve::OutputRecord> drain;
   server.shutdown(drain);

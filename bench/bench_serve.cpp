@@ -2,13 +2,14 @@
 // paper figure: this measures the serving layer (src/serve) that wraps
 // the paper's online monitoring regime (§IV-C) for live traffic.
 //
-// Two entry paths are timed over the same interleaved multi-user trace:
-//   * batch path — enqueue into the bounded shard queues and pump() on
-//     the global thread pool, swept across shard x thread combinations;
-//   * sync path  — submit_sync() per event under the shard lock, the
-//     latency-mode TCP path, single producer.
-// Scores are bit-identical across all combinations (determinism
-// contract), so only events/second changes.
+// Two ways of feeding the server's one entry point, submit_batch, are
+// timed over the same interleaved multi-user trace, per shard count:
+//   * batch path — submit_batch over consecutive chunks of 256 events,
+//     what misusedet_serve's stdin mode does at its default --batch;
+//   * sync path  — submit_sync() per event, one event per fused step.
+// Scoring runs on the calling thread, so there is no thread sweep.
+// Scores are bit-identical across all rows (determinism contract), so
+// only events/second changes.
 //
 // A second record, BENCH_recovery.json, measures the crash-safety tax:
 // the same batch replay with the per-shard WAL enabled vs disabled, plus
@@ -77,6 +78,7 @@ namespace misuse {
 namespace {
 
 constexpr int kRepetitions = 3;  // best-of to suppress scheduler noise
+constexpr std::size_t kChunk = 256;  // misusedet_serve's default --batch
 
 struct Workload {
   std::vector<serve::Event> events;
@@ -118,35 +120,35 @@ Workload make_workload(const synth::Portal& portal, const SessionStore& store,
   return w;
 }
 
+/// Scores `events` as consecutive submit_batch calls of up to kChunk
+/// events, calling `sink()` after each to consume (and clear) `out`.
+template <typename Sink>
+void submit_chunked(serve::ScoringServer& server, std::span<const serve::Event> events,
+                    std::vector<serve::OutputRecord>& out, const Sink& sink) {
+  for (std::size_t begin = 0; begin < events.size(); begin += kChunk) {
+    server.submit_batch(events.subspan(begin, std::min(kChunk, events.size() - begin)), out);
+    sink();
+  }
+}
+
 double run_batch_path(const core::MisuseDetector& detector, const Workload& workload,
                       std::size_t shards) {
   serve::ServeConfig config;
   config.shards = shards;
-  config.queue_capacity = 512;
   config.emit_steps = true;
   serve::ScoringServer server(detector, config);
   std::vector<serve::OutputRecord> out;
   out.reserve(4096);
   const auto start = std::chrono::steady_clock::now();
-  std::size_t since_pump = 0;
-  for (const auto& event : workload.events) {
-    while (server.enqueue(event, out) == serve::ScoringServer::Enqueue::kQueueFull) {
-      server.pump(out);
-      out.clear();
-    }
-    if (++since_pump >= 256) {
-      server.pump(out);
-      out.clear();
-      since_pump = 0;
-    }
-  }
+  submit_chunked(server, workload.events, out, [&out] { out.clear(); });
   server.shutdown(out);
   const auto end = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(end - start).count();
 }
 
 /// Steady-state replay for the WAL-overhead comparison: times the feed
-/// only (batch mode: enqueue + pump; sync mode: submit_sync per event).
+/// only (batch mode: chunked submit_batch; sync mode: submit_sync per
+/// event).
 /// Startup (log creation) and shutdown (final checkpoint) are fixed
 /// once-per-process costs and are kept outside the timer so the number
 /// reflects the per-event durability tax.
@@ -155,7 +157,6 @@ double run_steady_state(const core::MisuseDetector& detector, const Workload& wo
                         std::size_t wal_sync_every) {
   serve::ServeConfig config;
   config.shards = shards;
-  config.queue_capacity = 512;
   config.emit_steps = true;
   if (!wal_dir.empty()) {
     // Fresh log per repetition so every run pays the full append cost.
@@ -174,19 +175,7 @@ double run_steady_state(const core::MisuseDetector& detector, const Workload& wo
       out.clear();
     }
   } else {
-    std::size_t since_pump = 0;
-    for (const auto& event : workload.events) {
-      while (server.enqueue(event, out) == serve::ScoringServer::Enqueue::kQueueFull) {
-        server.pump(out);
-        out.clear();
-      }
-      if (++since_pump >= 256) {
-        server.pump(out);
-        out.clear();
-        since_pump = 0;
-      }
-    }
-    server.pump(out);
+    submit_chunked(server, workload.events, out, [&out] { out.clear(); });
   }
   const auto end = std::chrono::steady_clock::now();
   std::vector<serve::OutputRecord> drain;
@@ -217,35 +206,21 @@ struct RecoveryResult {
   std::size_t replayed = 0;
 };
 
-/// Leaves behind the WAL of a crashed run (full feed, pump, no
-/// shutdown), then times a fresh server's recover() over it. This is the
-/// worst case: nothing was checkpointed, every applied event replays.
+/// Leaves behind the WAL of a crashed run (full feed, no shutdown),
+/// then times a fresh server's recover() over it. This is the worst
+/// case: nothing was checkpointed, every applied event replays.
 RecoveryResult measure_recovery(const core::MisuseDetector& detector, const Workload& workload,
                                 std::size_t shards, const std::string& wal_dir) {
   std::filesystem::remove_all(wal_dir);
   std::filesystem::create_directories(wal_dir);
   serve::ServeConfig config;
   config.shards = shards;
-  config.queue_capacity = 512;
   config.emit_steps = true;
   config.wal_dir = wal_dir;
   {
     serve::ScoringServer server(detector, config);
     std::vector<serve::OutputRecord> out;
-    std::size_t since_pump = 0;
-    for (const auto& event : workload.events) {
-      while (server.enqueue(event, out) == serve::ScoringServer::Enqueue::kQueueFull) {
-        server.pump(out);
-        out.clear();
-      }
-      if (++since_pump >= 256) {
-        server.pump(out);
-        out.clear();
-        since_pump = 0;
-      }
-    }
-    server.pump(out);
-    out.clear();
+    submit_chunked(server, workload.events, out, [&out] { out.clear(); });
     // No shutdown(): the server drops like a crash would, WAL intact.
   }
   serve::ScoringServer restarted(detector, config);
@@ -260,32 +235,32 @@ RecoveryResult measure_recovery(const core::MisuseDetector& detector, const Work
 
 struct SwapBench {
   std::vector<double> pauses;  // all-shards-locked window per swap
-  std::vector<double> drains;  // backlog pump before the barrier
   std::size_t rolled = 0;      // sessions finished at a barrier (want 0)
   std::size_t swaps = 0;
 };
 
-/// Replays the workload in batch mode, hot-swapping between two
-/// vocabulary-compatible models every `interval` events — the
-/// zero-downtime claim under live load.
+/// Replays the workload in chunks of up to kChunk events, hot-swapping
+/// between two vocabulary-compatible models every `interval` events —
+/// the zero-downtime claim under live load.
 SwapBench run_swap_path(const core::MisuseDetector& v1, const core::MisuseDetector& v2,
                         const Workload& workload, std::size_t shards, std::size_t interval) {
   serve::ServeConfig config;
   config.shards = shards;
-  config.queue_capacity = 512;
   config.emit_steps = true;
   serve::ScoringServer server(serve::ModelHandle::borrowed(v1), config);
   std::vector<serve::OutputRecord> out;
   out.reserve(4096);
   SwapBench result;
+  const std::span<const serve::Event> events(workload.events);
   std::size_t since_swap = 0;
   bool on_v2 = false;
-  for (const auto& event : workload.events) {
-    while (server.enqueue(event, out) == serve::ScoringServer::Enqueue::kQueueFull) {
-      server.pump(out);
-      out.clear();
-    }
-    if (++since_swap >= interval) {
+  for (std::size_t begin = 0; begin < events.size();) {
+    const std::size_t n = std::min({kChunk, interval - since_swap, events.size() - begin});
+    server.submit_batch(events.subspan(begin, n), out);
+    out.clear();
+    begin += n;
+    since_swap += n;
+    if (since_swap == interval) {
       since_swap = 0;
       on_v2 = !on_v2;
       auto next = serve::ModelHandle::borrowed(on_v2 ? v2 : v1);
@@ -293,7 +268,6 @@ SwapBench run_swap_path(const core::MisuseDetector& v1, const core::MisuseDetect
       const auto stats = server.swap_model(std::move(next), out);
       out.clear();
       result.pauses.push_back(stats.pause_seconds);
-      result.drains.push_back(stats.drain_seconds);
       result.rolled += stats.rolled_sessions;
       ++result.swaps;
     }
@@ -322,7 +296,6 @@ ObserveRun run_observed_path(const core::MisuseDetector& detector, const Workloa
                              std::size_t shards, std::size_t passes, bool admin, bool tracing) {
   serve::ServeConfig config;
   config.shards = shards;
-  config.queue_capacity = 512;
   config.emit_steps = true;
   serve::ScoringServer server(detector, config);
   std::optional<serve::AdminServer> admin_server;
@@ -368,19 +341,8 @@ ObserveRun run_observed_path(const core::MisuseDetector& detector, const Workloa
     out.clear();
   };
   const auto start = std::chrono::steady_clock::now();
-  std::size_t since_pump = 0;
   for (std::size_t pass = 0; pass < passes; ++pass) {
-    for (const auto& event : workload.events) {
-      while (server.enqueue(event, out) == serve::ScoringServer::Enqueue::kQueueFull) {
-        server.pump(out);
-        keep();
-      }
-      if (++since_pump >= 256) {
-        server.pump(out);
-        keep();
-        since_pump = 0;
-      }
-    }
+    submit_chunked(server, workload.events, out, keep);
   }
   server.shutdown(out);
   keep();
@@ -690,7 +652,8 @@ int main(int argc, char** argv) {
       "    [--cluster] [--cluster-out=BENCH_cluster.json] [--sessions=N] [--wal-sync=N]\n"
       "    [--metrics-out=PATH]\n" +
       "  --reduced           small workloads: the CI smoke configuration\n"
-      "  --out=PATH          serving throughput record (default BENCH_serve.json)\n"
+      "  --out=PATH          serving throughput record: chunked submit_batch and per-event\n"
+      "                      submit_sync rows per shard count (default BENCH_serve.json)\n"
       "  --recovery-out=PATH WAL tax and recovery record (default BENCH_recovery.json)\n"
       "  --swap-out=PATH     hot-swap pause record (default BENCH_swap.json)\n"
       "  --observe-out=PATH  operations-plane tax record (default BENCH_observe.json)\n"
@@ -741,28 +704,20 @@ int main(int argc, char** argv) {
   struct Row {
     std::string path;
     std::size_t shards = 0;
-    std::size_t threads = 0;
     double seconds = 0.0;
   };
   std::vector<Row> rows;
   const std::vector<std::size_t> shard_counts = reduced ? std::vector<std::size_t>{1, 4}
                                                         : std::vector<std::size_t>{1, 4, 8};
-  const std::vector<std::size_t> thread_counts =
-      reduced ? std::vector<std::size_t>{1, 2} : std::vector<std::size_t>{1, 2, 4};
   for (const std::size_t shards : shard_counts) {
-    for (const std::size_t threads : thread_counts) {
-      set_global_threads(threads);
-      const double seconds =
-          best_of([&] { return run_batch_path(detector, workload, shards); });
-      rows.push_back({"batch", shards, threads, seconds});
-      std::cout << "batch shards=" << shards << " threads=" << threads << ": "
-                << static_cast<std::size_t>(workload.events.size() / seconds) << " events/s\n";
-    }
+    const double seconds = best_of([&] { return run_batch_path(detector, workload, shards); });
+    rows.push_back({"batch", shards, seconds});
+    std::cout << "batch shards=" << shards << ": "
+              << static_cast<std::size_t>(workload.events.size() / seconds) << " events/s\n";
   }
-  set_global_threads(1);
   for (const std::size_t shards : shard_counts) {
     const double seconds = best_of([&] { return run_sync_path(detector, workload, shards); });
-    rows.push_back({"sync", shards, 1, seconds});
+    rows.push_back({"sync", shards, seconds});
     std::cout << "sync shards=" << shards << ": "
               << static_cast<std::size_t>(workload.events.size() / seconds) << " events/s\n";
   }
@@ -776,17 +731,16 @@ int main(int argc, char** argv) {
   json.member("reduced", reduced);
   json.member("repetitions_best_of", static_cast<std::size_t>(kRepetitions));
   json.member("note",
-              "Streaming-server replay throughput (best-of wall clock). 'batch' = bounded shard "
-              "queues drained by pump() on the thread pool (stdin/NDJSON mode); 'sync' = "
-              "submit_sync under the shard lock (TCP latency mode), single producer. Verdicts "
-              "are bit-identical across every row (determinism contract).");
+              "Streaming-server replay throughput (best-of wall clock, one scoring thread). "
+              "'batch' = submit_batch over chunks of 256 events (stdin mode at its default "
+              "--batch); 'sync' = submit_sync per event. Verdicts are bit-identical across "
+              "every row (determinism contract).");
   json.key("rows");
   json.begin_array();
   for (const auto& r : rows) {
     json.begin_object();
     json.member("path", r.path);
     json.member("shards", r.shards);
-    json.member("threads", r.threads);
     json.member("seconds", r.seconds);
     json.member("events_per_second", r.seconds > 0.0 ? workload.events.size() / r.seconds : 0.0);
     json.end_object();
@@ -801,8 +755,6 @@ int main(int argc, char** argv) {
   const std::string wal_dir =
       (std::filesystem::temp_directory_path() / "misusedet_bench_wal").string();
   const std::size_t wal_shards = 4;
-  const std::size_t wal_threads = 2;
-  set_global_threads(wal_threads);
   const std::size_t wal_sync_every = static_cast<std::size_t>(
       args.integer("wal-sync", static_cast<long long>(serve::ServeConfig{}.wal_sync_every)));
   struct WalRow {
@@ -814,7 +766,6 @@ int main(int argc, char** argv) {
   };
   WalRow wal_rows[] = {{"batch", false}, {"sync", true}};
   for (WalRow& row : wal_rows) {
-    if (row.sync_path) set_global_threads(1);
     row.off = best_of(
         [&] { return run_steady_state(detector, workload, wal_shards, row.sync_path, {}, 0); });
     row.on = best_of([&] {
@@ -839,7 +790,6 @@ int main(int argc, char** argv) {
   rec_json.member("sessions", workload.sessions);
   rec_json.member("reduced", reduced);
   rec_json.member("shards", wal_shards);
-  rec_json.member("threads", wal_threads);
   rec_json.member("wal_sync_every", wal_sync_every);
   rec_json.member("repetitions_best_of", static_cast<std::size_t>(kRepetitions));
   rec_json.key("wal_rows");
@@ -872,24 +822,19 @@ int main(int argc, char** argv) {
   core::DetectorConfig v2_config = detector_config;
   v2_config.lm.hidden = 10;  // retrained candidate: same vocab, new weights
   v2_config.lm.epochs = 1;
-  set_global_threads(1);
   std::cout << "training swap candidate...\n";
   const core::MisuseDetector detector_v2 = core::MisuseDetector::train(store, v2_config);
   const std::size_t swap_shards = 4;
-  const std::size_t swap_threads = 2;
   const std::size_t swap_interval =
       std::max<std::size_t>(64, workload.events.size() / (reduced ? 16 : 48));
-  set_global_threads(swap_threads);
   SwapBench swap_bench;
   for (int r = 0; r < kRepetitions; ++r) {
     const SwapBench rep =
         run_swap_path(detector, detector_v2, workload, swap_shards, swap_interval);
     swap_bench.pauses.insert(swap_bench.pauses.end(), rep.pauses.begin(), rep.pauses.end());
-    swap_bench.drains.insert(swap_bench.drains.end(), rep.drains.begin(), rep.drains.end());
     swap_bench.rolled += rep.rolled;
     swap_bench.swaps += rep.swaps;
   }
-  set_global_threads(1);
   const double pause_p50 = percentile(swap_bench.pauses, 0.50);
   const double pause_p99 = percentile(swap_bench.pauses, 0.99);
   const double pause_max = swap_bench.pauses.empty()
@@ -911,23 +856,17 @@ int main(int argc, char** argv) {
   swap_json.member("sessions", workload.sessions);
   swap_json.member("reduced", reduced);
   swap_json.member("shards", swap_shards);
-  swap_json.member("threads", swap_threads);
   swap_json.member("swap_interval_events", swap_interval);
   swap_json.member("swaps", swap_bench.swaps);
   swap_json.member("pause_p50_seconds", pause_p50);
   swap_json.member("pause_p99_seconds", pause_p99);
   swap_json.member("pause_max_seconds", pause_max);
   swap_json.member("pause_p99_target_seconds", 0.25);
-  swap_json.member("drain_p50_seconds", percentile(swap_bench.drains, 0.50));
-  swap_json.member("drain_max_seconds",
-                   swap_bench.drains.empty()
-                       ? 0.0
-                       : *std::max_element(swap_bench.drains.begin(), swap_bench.drains.end()));
   swap_json.member("sessions_rolled", swap_bench.rolled);
   swap_json.member("note",
                    "Hot-swap latency: batch replay with a swap between two vocabulary-compatible "
                    "models every swap_interval_events. 'pause' is the all-shards-locked window "
-                   "(traffic held), 'drain' the backlog pump before the barrier. Acceptance: "
+                   "(traffic held). Acceptance: "
                    "pause_p99_seconds < 0.25 and sessions_rolled == 0 (compatible swaps "
                    "pin-and-continue; no session is dropped).");
   swap_json.end_object();
@@ -937,8 +876,6 @@ int main(int argc, char** argv) {
   // -- Operations-plane tax: scraping + sampled tracing under load --------
   const std::string observe_out_path = args.str("observe-out", "BENCH_observe.json");
   const std::size_t observe_shards = 4;
-  const std::size_t observe_threads = 2;
-  set_global_threads(observe_threads);
   // Calibrate the pass count so each timed window spans multiple scrape
   // ticks (reduced mode keeps one pass: CI checks the JSON, not the tax).
   std::size_t observe_passes = 1;
@@ -977,7 +914,6 @@ int main(int argc, char** argv) {
     if (r == 0 || scrape_run.seconds < scraped.seconds) scraped = std::move(scrape_run);
     if (r == 0 || trace_run.seconds < traced.seconds) traced = std::move(trace_run);
   }
-  set_global_threads(1);
   const std::size_t observe_events = workload.events.size() * observe_passes;
   const bool output_identical =
       baseline.lines == scraped.lines && baseline.lines == traced.lines;
@@ -1006,7 +942,6 @@ int main(int argc, char** argv) {
   observe_json.member("sessions", workload.sessions);
   observe_json.member("reduced", reduced);
   observe_json.member("shards", observe_shards);
-  observe_json.member("threads", observe_threads);
   observe_json.member("repetitions_best_of", static_cast<std::size_t>(observe_reps));
   observe_json.member("trace_sample_sessions", static_cast<std::size_t>(8));
   observe_json.member("scrapes", scraped.scrapes);

@@ -15,10 +15,11 @@
 //   ./build/examples/serve_replay
 //       in-process end-to-end demo: train -> save -> load -> serve the
 //       trace through the ScoringServer core and summarize the alarms.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <mutex>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -206,24 +207,25 @@ int in_process_demo(std::size_t session_count) {
     std::size_t alarms = 0;
   };
   std::map<std::string, PerUser> by_user;
-  std::mutex mutex;
   server.set_step_observer(
       [&](const serve::Event& event, const core::OnlineMonitor::StepResult& step) {
-        std::lock_guard<std::mutex> lock(mutex);
         PerUser& u = by_user[event.user_id];
         ++u.steps;
         if (step.alarm) ++u.alarms;
       });
 
   const auto trace = build_trace(portal, history, session_count);
-  std::vector<serve::OutputRecord> out;
+  std::vector<serve::Event> events;
   std::string error;
   for (const auto& line : trace) {
     serve::Event event;
-    if (!serve::parse_event(render_trace_line(line), event, error)) continue;
-    while (server.enqueue(event, out) == serve::ScoringServer::Enqueue::kQueueFull) {
-      server.pump(out);
-    }
+    if (serve::parse_event(render_trace_line(line), event, error)) events.push_back(event);
+  }
+  // Scored in batches of 256, as misusedet_serve's stdin mode does.
+  std::vector<serve::OutputRecord> out;
+  const std::span<const serve::Event> all(events);
+  for (std::size_t begin = 0; begin < all.size(); begin += 256) {
+    server.submit_batch(all.subspan(begin, std::min<std::size_t>(256, all.size() - begin)), out);
     out.clear();
   }
   server.shutdown(out);

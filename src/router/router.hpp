@@ -24,7 +24,7 @@
 //     and no verdict is duplicated;
 //   * per-tenant quotas — token-bucket admission per user_id at the
 //     router (router/quota.hpp), rejected events answered with an
-//     "error" record, layered on the nodes' own backpressure modes.
+//     "error" record.
 #pragma once
 
 #include <atomic>

@@ -145,16 +145,6 @@ std::string AdminServer::render_metrics() const {
 }
 
 std::string AdminServer::render_healthz(int* http_status) const {
-  const std::vector<ScoringServer::ShardStatus> shards = server_.shard_status();
-  double max_saturation = 0.0;
-  std::size_t shards_at_capacity = 0;
-  for (const auto& shard : shards) {
-    if (shard.queue_capacity == 0) continue;
-    const double saturation =
-        static_cast<double>(shard.queue_depth) / static_cast<double>(shard.queue_capacity);
-    max_saturation = std::max(max_saturation, saturation);
-    if (shard.queue_depth >= shard.queue_capacity) ++shards_at_capacity;
-  }
   const ServeMetrics& sm = serve_metrics();
   const std::int64_t degraded_clusters = sm.degraded_clusters.value();
   const std::int64_t reload_streak = sm.reload_failure_streak.value();
@@ -169,16 +159,11 @@ std::string AdminServer::render_healthz(int* http_status) const {
   // so orchestrators route around the node).
   std::vector<std::string> reasons;
   if (degraded_clusters > 0) reasons.push_back("degraded_clusters");
-  if (max_saturation >= 0.9) reasons.push_back("queue_pressure");
   if (wal_lagging) reasons.push_back("wal_lag");
   if (reload_streak > 0) reasons.push_back("reload_failures");
   std::string status = reasons.empty() ? "ok" : "degraded";
   if (wal_failed) {
     reasons.push_back("wal_failed");
-    status = "unhealthy";
-  }
-  if (!shards.empty() && shards_at_capacity == shards.size()) {
-    reasons.push_back("queues_full");
     status = "unhealthy";
   }
   if (reload_streak >= 3) status = "unhealthy";
@@ -195,8 +180,6 @@ std::string AdminServer::render_healthz(int* http_status) const {
     json.begin_object();
     json.member("status", status);
     json.member("reasons", joined);
-    json.member("queue_saturation", max_saturation);
-    json.member("shards_at_capacity", shards_at_capacity);
     json.member("degraded_clusters", static_cast<long long>(degraded_clusters));
     json.member("wal_lag_events", wal_lag);
     json.member("reload_failure_streak", static_cast<long long>(reload_streak));
@@ -208,10 +191,8 @@ std::string AdminServer::render_healthz(int* http_status) const {
 
 std::string AdminServer::render_statusz() const {
   const std::vector<ScoringServer::ShardStatus> shards = server_.shard_status();
-  std::size_t queued = 0;
   std::uint64_t min_watermark = UINT64_MAX;
   for (const auto& shard : shards) {
-    queued += shard.queue_depth;
     min_watermark = std::min(min_watermark, shard.last_applied_seq);
   }
   if (min_watermark == UINT64_MAX) min_watermark = 0;
@@ -233,10 +214,6 @@ std::string AdminServer::render_statusz() const {
     json.member("shards", shards.size());
     json.member("sessions_active", server_.active_sessions());
     json.member("sessions_limit", cfg.max_sessions);
-    json.member("queued_events", queued);
-    json.member("queue_capacity_per_shard", cfg.queue_capacity);
-    json.member("backpressure",
-                cfg.backpressure == BackpressurePolicy::kBlock ? "block" : "drop_oldest");
     json.member("event_clock", server_.event_clock());
     json.member("next_seq", next_seq);
     json.member("wal_enabled", server_.wal_enabled());
@@ -282,8 +259,6 @@ std::string AdminServer::render_statusz() const {
     }
     for (std::size_t s = 0; s < shards.size(); ++s) {
       const std::string prefix = "shard." + std::to_string(s) + ".";
-      json.member(prefix + "queue_depth", shards[s].queue_depth);
-      json.member(prefix + "queue_high_water", static_cast<long long>(shards[s].queue_high_water));
       json.member(prefix + "sessions", shards[s].sessions);
       json.member(prefix + "max_sessions", shards[s].max_sessions);
       json.member(prefix + "last_applied_seq", shards[s].last_applied_seq);

@@ -5,24 +5,26 @@
 // line) from many concurrent users, emitting per-step verdicts and
 // end-of-session reports as NDJSON.
 //
-// Modes:
-//   * default: events on stdin, verdicts on stdout (pipe-friendly);
+// Modes (both score through one LineScorer, i.e. one
+// ScoringServer::submit_batch per batch of lines):
+//   * default: events on stdin, verdicts on stdout (pipe-friendly),
+//     scored --batch lines at a time;
 //   * --listen=PORT: accept TCP connections, one NDJSON stream each,
 //     all multiplexed onto one epoll event loop; verdicts return on the
 //     originating connection, while eviction / shutdown session reports
 //     go to stdout (sessions outlive connections).
 //
 // Graceful shutdown: EOF on stdin, or SIGINT/SIGTERM in either mode,
-// drains the queued backlog and emits a session_report for every open
+// scores what was read and emits a session_report for every open
 // session before exiting. --metrics-out writes the observability
 // snapshot (util/metrics + trace tree) on exit.
 //
 //   misusedet_serve --model=detector.bin [--listen=PORT]
-//       [--shards=N] [--queue-capacity=N] [--backpressure=block|drop_oldest]
-//       [--idle-ttl=SECONDS] [--max-sessions=N] [--batch=N] [--threads=N]
+//       [--shards=N] [--idle-ttl=SECONDS] [--max-sessions=N] [--batch=N]
 //       [--alarm-likelihood=X] [--trend-window=N] [--trend-drop=X]
 //       [--no-steps] [--metrics-out=PATH]
 //       [--admin-port=PORT] [--trace-sample=N]
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -45,7 +47,6 @@
 #include "util/fsio.hpp"
 #include "util/line_io.hpp"
 #include "util/logging.hpp"
-#include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
 namespace misuse::serve {
@@ -173,38 +174,35 @@ class ModelReloader {
   std::chrono::steady_clock::time_point last_check_{};
 };
 
-void print_usage(const std::string& program) {
-  std::cout
-      << "usage: " << program << " (--model=PATH | --registry=DIR) [options]\n"
-      << "  --model=PATH            trained detector archive\n"
-      << "  --registry=DIR          serve the registry's CURRENT version and hot-swap when\n"
-      << "                          it moves (SIGHUP forces an immediate re-check)\n"
-      << "  --registry-poll=SECONDS CURRENT pointer poll interval (default 0.5)\n"
-      << "  --shadow                mirror traffic onto the registry canary (metrics only)\n"
-      << "  --canary-fraction=X     fraction of sessions the shadow scores (default 1.0)\n"
-      << "  --drift                 track served-action drift against the training mix\n"
-      << "  --listen=PORT           serve NDJSON over TCP instead of stdin/stdout\n"
-      << "  --shards=N              session-table shards (default 4)\n"
-      << "  --queue-capacity=N      per-shard event queue bound (default 1024)\n"
-      << "  --backpressure=POLICY   block | drop_oldest (default block)\n"
-      << "  --idle-ttl=SECONDS      evict sessions idle this long in event time (default 900)\n"
-      << "  --max-sessions=N        session-table capacity across shards (default 4096)\n"
-      << "  --batch=N               events per pump in stdin mode (default 256)\n"
-      << "  --threads=N             worker threads (default MISUSEDET_THREADS/hardware)\n"
-      << "  --alarm-likelihood=X    immediate alarm threshold (default 0.02)\n"
-      << "  --trend-window=N        trend detector window (default 8)\n"
-      << "  --trend-drop=X          trend alarm relative drop (default 0.5)\n"
-      << "  --no-steps              emit only session reports, not per-step verdicts\n"
-      << "  --metrics-out=PATH      write the metrics/trace snapshot on exit\n"
-      << "  --admin-port=PORT       operations plane: /metrics (Prometheus) /healthz /statusz\n"
-      << "                          /tracez on a dedicated listener (0 = ephemeral port)\n"
-      << "  --trace-sample=N        head-sample the first N sessions into the live trace ring\n"
-      << "                          (exported via /tracez; off by default)\n"
-      << "  --wal-dir=DIR           crash safety: per-shard write-ahead log + snapshots\n"
-      << "  --wal-sync=N            fsync each shard WAL every N appends (default 1024)\n"
-      << "  --snapshot-every=N      checkpoint every N applied events (default 4096)\n"
-      << "  --resume-replay         after recovery, dedup producers that resend from origin\n";
-}
+constexpr const char* kUsage =
+    "usage: misusedet_serve (--model=PATH | --registry=DIR) [options]\n"
+    "  --model=PATH            trained detector archive\n"
+    "  --registry=DIR          serve the registry's CURRENT version and hot-swap when\n"
+    "                          it moves (SIGHUP forces an immediate re-check)\n"
+    "  --registry-poll=SECONDS CURRENT pointer poll interval (default 0.5)\n"
+    "  --shadow                mirror traffic onto the registry canary (metrics only)\n"
+    "  --canary-fraction=X     fraction of sessions the shadow scores (default 1.0)\n"
+    "  --drift                 track served-action drift against the training mix\n"
+    "  --listen=PORT           serve NDJSON over TCP instead of stdin/stdout\n"
+    "  --io=epoll              the TCP front end (epoll is the only one; accepted as is)\n"
+    "  --shards=N              session-table shards (default 4)\n"
+    "  --idle-ttl=SECONDS      evict sessions idle this long in event time (default 900)\n"
+    "  --max-sessions=N        session-table capacity across shards (default 4096)\n"
+    "  --batch=N               stdin mode: lines scored per batch; TTL sweeps, checkpoints,\n"
+    "                          reloads and output flushes follow each full batch (default 256)\n"
+    "  --alarm-likelihood=X    immediate alarm threshold (default 0.02)\n"
+    "  --trend-window=N        trend detector window (default 8)\n"
+    "  --trend-drop=X          trend alarm relative drop (default 0.5)\n"
+    "  --no-steps              emit only session reports, not per-step verdicts\n"
+    "  --metrics-out=PATH      write the metrics/trace snapshot on exit\n"
+    "  --admin-port=PORT       operations plane: /metrics (Prometheus) /healthz /statusz\n"
+    "                          /tracez on a dedicated listener (0 = ephemeral port)\n"
+    "  --trace-sample=N        head-sample the first N sessions into the live trace ring\n"
+    "                          (exported via /tracez; off by default)\n"
+    "  --wal-dir=DIR           crash safety: per-shard write-ahead log + snapshots\n"
+    "  --wal-sync=N            fsync each shard WAL every N appends (default 1024)\n"
+    "  --snapshot-every=N      checkpoint every N applied events (default 4096)\n"
+    "  --resume-replay         after recovery, dedup producers that resend from origin\n";
 
 void flush_records(std::vector<OutputRecord>& records, std::ostream& out) {
   if (records.empty()) return;
@@ -213,34 +211,82 @@ void flush_records(std::vector<OutputRecord>& records, std::ostream& out) {
   records.clear();
 }
 
-/// stdin/stdout pipe mode: read-batch -> pump -> sweep, repeat. Model
-/// swaps land at batch boundaries (the stream is quiescent there).
+/// The one scoring path of both front ends: parses a batch of lines,
+/// scores the parsed events as one ScoringServer::submit_batch, and
+/// appends every record to the reply slot of the line it answers. Parse
+/// errors, rejected actions and verdicts therefore keep their lines'
+/// order, whatever the batch size.
+class LineScorer {
+ public:
+  explicit LineScorer(ScoringServer& server) : server_(server) {}
+
+  /// replies[i] receives the '\n'-terminated records answering lines[i]
+  /// (none for an empty line).
+  void score(std::span<const EpollLine> lines, std::span<std::string> replies) {
+    std::size_t n = 0;
+    event_line_.clear();
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      if (lines[i].text.empty()) continue;
+      if (events_.size() <= n) events_.resize(n + 1);
+      if (!parse_event(lines[i].text, events_[n], error_)) {
+        serve_metrics().parse_errors.inc();
+        replies[i] += render_error_record(error_, lines[i].text);
+        replies[i] += '\n';
+        continue;
+      }
+      event_line_.push_back(i);
+      ++n;
+    }
+    if (n == 0) return;
+    const auto submitted = server_.submit_batch(std::span<const Event>(events_.data(), n), records_);
+    for (const auto& r : records_) {
+      std::string& reply = replies[event_line_[r.seq - submitted.first_seq]];
+      reply += r.line;
+      reply += '\n';
+    }
+    records_.clear();
+  }
+
+ private:
+  ScoringServer& server_;
+  // Reused across batches.
+  std::vector<Event> events_;
+  std::vector<std::size_t> event_line_;  // events_[k] came from lines[event_line_[k]]
+  std::vector<OutputRecord> records_;
+  std::string error_;
+};
+
+/// stdin/stdout pipe mode: read up to `batch_max` lines, score them,
+/// then sweep, checkpoint and reload before flushing, repeat. Model swaps
+/// land at batch boundaries (the stream is quiescent there).
 int run_pipe(ScoringServer& server, std::size_t batch_max, ModelReloader* reloader) {
   LineReader reader(std::cin);
-  std::string line;
+  LineScorer scorer(server);
+  std::vector<std::string> texts;
+  std::vector<EpollLine> lines;
+  std::vector<std::string> replies;
   std::vector<OutputRecord> out;
-  std::string error;
-  std::size_t batched = 0;
-  while (!g_stop.load(std::memory_order_relaxed) && reader.next(line)) {
-    if (line.empty()) continue;
-    Event event;
-    if (!parse_event(line, event, error)) {
-      serve_metrics().parse_errors.inc();
-      out.push_back({0, render_error_record(error, line)});
-      continue;
+  std::string line;
+  bool more = true;
+  while (more) {
+    texts.clear();
+    while (texts.size() < batch_max &&
+           (more = !g_stop.load(std::memory_order_relaxed) && reader.next(line))) {
+      if (!line.empty()) texts.push_back(line);
     }
-    while (server.enqueue(event, out) == ScoringServer::Enqueue::kQueueFull) {
-      server.pump(out);
-      flush_records(out, std::cout);
-    }
-    if (++batched >= batch_max) {
-      server.pump(out);
+    lines.clear();
+    for (const std::string& text : texts) lines.push_back({0, text});
+    replies.assign(lines.size(), std::string{});
+    scorer.score(lines, replies);
+    for (const std::string& reply : replies) std::cout << reply;
+    // A batch cut short by EOF or a signal goes straight to shutdown.
+    if (texts.size() == batch_max) {
       server.sweep(out);
-      server.maybe_checkpoint(out);
+      server.maybe_checkpoint();
       if (reloader != nullptr) reloader->maybe_reload(out);
-      flush_records(out, std::cout);
-      batched = 0;
     }
+    flush_records(out, std::cout);
+    std::cout.flush();
   }
   if (reader.truncated()) {
     log_warn() << "input line exceeded the size cap; draining and shutting down";
@@ -251,49 +297,23 @@ int run_pipe(ScoringServer& server, std::size_t batch_max, ModelReloader* reload
 }
 
 /// TCP mode: every connection multiplexed onto one nonblocking event
-/// loop. All complete lines one wakeup delivers are scored as one
-/// submit_batch (one fused model step across the ready sessions); each
-/// record maps back to its line through its seq, so every connection
-/// gets its verdicts in its own line order. TTL sweeps, checkpoints,
-/// and registry reloads ride the loop's tick, with session reports on
+/// loop. All complete lines one wakeup delivers are scored as one batch
+/// (one fused model step across the ready sessions); every connection
+/// gets its replies in its own line order. TTL sweeps, checkpoints, and
+/// registry reloads ride the loop's tick, with session reports on
 /// stdout.
 int run_epoll(ScoringServer& server, std::uint16_t port, ModelReloader* reloader) {
   EpollConfig config;
   config.port = port;
   EpollHandlers handlers;
-  // Reused across wakeups (loop thread only).
-  std::vector<Event> events;
-  std::vector<std::size_t> event_line;  // events[k] came from lines[event_line[k]]
-  std::vector<OutputRecord> records;
-  std::string error;
-  handlers.on_lines = [&](std::span<const EpollLine> lines, std::span<std::string> replies) {
-    std::size_t n = 0;
-    event_line.clear();
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      if (lines[i].text.empty()) continue;
-      if (events.size() <= n) events.resize(n + 1);
-      if (!parse_event(lines[i].text, events[n], error)) {
-        serve_metrics().parse_errors.inc();
-        replies[i] += render_error_record(error, lines[i].text);
-        replies[i] += '\n';
-        continue;
-      }
-      event_line.push_back(i);
-      ++n;
-    }
-    if (n == 0) return;
-    const auto submitted = server.submit_batch(std::span<const Event>(events.data(), n), records);
-    for (const auto& r : records) {
-      std::string& reply = replies[event_line[r.seq - submitted.first_seq]];
-      reply += r.line;
-      reply += '\n';
-    }
-    records.clear();
+  LineScorer scorer(server);  // loop thread only
+  handlers.on_lines = [&scorer](std::span<const EpollLine> lines, std::span<std::string> replies) {
+    scorer.score(lines, replies);
   };
   handlers.on_tick = [&server, reloader] {
     std::vector<OutputRecord> out;
     server.sweep(out);
-    server.maybe_checkpoint(out);
+    server.maybe_checkpoint();
     if (reloader != nullptr) reloader->maybe_reload(out);
     flush_records(out, std::cout);
   };
@@ -321,16 +341,21 @@ int run_epoll(ScoringServer& server, std::uint16_t port, ModelReloader* reloader
 
 int serve_main(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  if (args.flag("help")) {
-    print_usage(args.program());
-    return 0;
+  // "steps" is --no-steps: CliArgs folds "--no-X" into key "X".
+  if (const auto code = args.early_exit(
+          {"model", "registry", "registry-poll", "shadow", "canary-fraction", "drift", "listen",
+           "io", "shards", "idle-ttl", "max-sessions", "batch", "alarm-likelihood",
+           "trend-window", "trend-drop", "steps", "metrics-out", "admin-port", "trace-sample",
+           "wal-dir", "wal-sync", "snapshot-every", "resume-replay"},
+          kUsage)) {
+    return *code;
   }
   const std::string model_path = args.str("model");
   const std::string registry_root = args.str("registry");
   if (model_path.empty() == registry_root.empty()) {
     std::cerr << "exactly one of --model=PATH or --registry=DIR is required (train and save a "
-                 "detector first; see README \"Serving\" and \"Model lifecycle\")\n";
-    print_usage(args.program());
+                 "detector first; see README \"Serving\" and \"Model lifecycle\")\n"
+              << kUsage;
     return 2;
   }
   if ((args.flag("shadow") || args.has("canary-fraction")) && registry_root.empty()) {
@@ -340,16 +365,6 @@ int serve_main(int argc, char** argv) {
 
   ServeConfig config;
   config.shards = static_cast<std::size_t>(args.integer("shards", 4));
-  config.queue_capacity = static_cast<std::size_t>(args.integer("queue-capacity", 1024));
-  const std::string policy = args.str("backpressure", "block");
-  if (policy == "drop_oldest") {
-    config.backpressure = BackpressurePolicy::kDropOldest;
-  } else if (policy == "block") {
-    config.backpressure = BackpressurePolicy::kBlock;
-  } else {
-    std::cerr << "unknown --backpressure policy '" << policy << "' (block | drop_oldest)\n";
-    return 2;
-  }
   config.idle_ttl_seconds = args.real("idle-ttl", 900.0);
   config.max_sessions = static_cast<std::size_t>(args.integer("max-sessions", 4096));
   // CliArgs folds "--no-X" into key "X" with value "false", so negative
@@ -363,9 +378,6 @@ int serve_main(int argc, char** argv) {
   config.snapshot_every = static_cast<std::size_t>(args.integer("snapshot-every", 4096));
   config.resume_replay = args.flag("resume-replay");
   config.drift = args.flag("drift");
-  if (args.has("threads")) {
-    set_global_threads(static_cast<std::size_t>(args.integer("threads", 0)));
-  }
   core::register_core_metrics();
   core::MetricsExport metrics_export(args.str("metrics-out"));
 
@@ -418,7 +430,7 @@ int serve_main(int argc, char** argv) {
   ModelReloader* reloader_ptr = reloader ? &*reloader : nullptr;
 
   // Sampled tracing: the first N distinct sessions get their full span
-  // tree (enqueue -> monitor step -> report) recorded into a bounded
+  // tree (monitor step -> report) recorded into a bounded
   // in-memory ring, exported live via /tracez. Off by default: the data
   // path then pays one relaxed atomic load per event.
   const auto trace_sample = static_cast<std::size_t>(args.integer("trace-sample", 0));
@@ -457,7 +469,8 @@ int serve_main(int argc, char** argv) {
     const std::uint16_t listen_port = static_cast<std::uint16_t>(args.integer("listen", 0));
     return run_epoll(server, listen_port, reloader_ptr);
   }
-  return run_pipe(server, static_cast<std::size_t>(args.integer("batch", 256)), reloader_ptr);
+  const auto batch = static_cast<std::size_t>(std::max<std::int64_t>(1, args.integer("batch", 256)));
+  return run_pipe(server, batch, reloader_ptr);
 }
 
 }  // namespace

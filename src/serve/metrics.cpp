@@ -8,15 +8,13 @@ ServeMetrics& serve_metrics() {
       metrics().counter("serve.steps"),
       metrics().counter("serve.alarms"),
       metrics().counter("serve.parse_errors"),
-      metrics().counter("serve.dropped_events"),
       metrics().counter("serve.sessions_opened"),
       metrics().counter("serve.sessions_evicted"),
       metrics().counter("serve.sessions_finished"),
       metrics().gauge("serve.sessions_active"),
-      metrics().gauge("serve.queue_depth"),
       metrics().histogram("serve.step_seconds"),
       // Powers of two from 1 to 1024: a fused step holds at most what one
-      // epoll wakeup (or one pump drain) delivered.
+      // epoll wakeup (or one pipe-mode batch) delivered.
       metrics().histogram("serve.batch_events", exponential_buckets(1.0, 2.0, 11)),
       metrics().counter("serve.wal_appends"),
       metrics().counter("serve.wal_torn_records"),

@@ -1,7 +1,7 @@
 // Instrument panel of the streaming scoring server. Same pattern as
 // core::MonitorMetrics: one process-wide bundle of registry-owned
 // instruments, resolved once and shared by every shard. All updates are
-// relaxed atomics, so shards record concurrently without coordination.
+// relaxed atomics, so concurrent submitters record without coordination.
 #pragma once
 
 #include "util/metrics.hpp"
@@ -13,12 +13,10 @@ struct ServeMetrics {
   Counter& steps;              // serve.steps — scored actions
   Counter& alarms;             // serve.alarms — steps that alarmed
   Counter& parse_errors;       // serve.parse_errors — rejected lines
-  Counter& dropped_events;     // serve.dropped_events — drop-oldest backpressure
   Counter& sessions_opened;    // serve.sessions_opened
   Counter& sessions_evicted;   // serve.sessions_evicted — TTL + capacity
   Counter& sessions_finished;  // serve.sessions_finished — all report emissions
   Gauge& sessions_active;      // serve.sessions_active (+ high-water mark)
-  Gauge& queue_depth;          // serve.queue_depth — events queued across shards
   HistogramMetric& step_seconds;  // serve.step_seconds — per-event shard latency
   HistogramMetric& batch_events;  // serve.batch_events — events per fused monitor step
 

@@ -4,15 +4,10 @@
 #include <cassert>
 #include <cctype>
 #include <filesystem>
-#include <sstream>
 
 #include "serve/metrics.hpp"
-#include "util/json.hpp"
-#include "util/failpoint.hpp"
 #include "util/logging.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
-#include "util/trace.hpp"
 
 namespace misuse::serve {
 
@@ -29,18 +24,6 @@ std::int64_t numeric_version(const std::string& version) {
     }
   }
   return any ? value : 0;
-}
-
-std::string enqueue_trace_args(const Event& event, std::size_t shard, std::uint64_t seq) {
-  std::ostringstream os;
-  JsonWriter json(os);
-  json.begin_object();
-  json.member("action", event.action);
-  json.member("shard", shard);
-  json.member("seq", seq);
-  json.end_object();
-  const std::string s = os.str();
-  return s.substr(1, s.size() - 2);  // TraceEvent::args is the braceless body
 }
 }  // namespace
 
@@ -60,12 +43,10 @@ ScoringServer::ScoringServer(ModelHandle model, const ServeConfig& config)
   shard_config.track_history = !config_.wal_dir.empty() || config_.drift;
   shard_max_sessions_ = shard_config.max_sessions;
   shards_.reserve(n);
-  shard_queue_gauges_.reserve(n);
   for (std::size_t s = 0; s < n; ++s) {
     auto shard = std::make_unique<Shard>();
     shard->table = std::make_unique<SessionShard>(model_, shard_config);
     shards_.push_back(std::move(shard));
-    shard_queue_gauges_.push_back(&metrics().gauge("serve.shard.queue_depth." + std::to_string(s)));
   }
   (void)serve_metrics();  // register the panel eagerly
   serve_metrics().degraded_clusters.set(
@@ -129,112 +110,9 @@ void ScoringServer::advance_clock(double t) {
   }
 }
 
-void ScoringServer::record_queue_depth() const {
-  // The gauge tracks the incrementally maintained total: exact counting
-  // via queued_events() would take every shard lock per enqueue.
-  serve_metrics().queue_depth.set(queued_total_.load(std::memory_order_relaxed));
-}
-
 ModelHandle ScoringServer::current_model() const {
   std::shared_lock<std::shared_mutex> lock(model_mutex_);
   return model_;
-}
-
-ScoringServer::Enqueue ScoringServer::enqueue(const Event& event,
-                                              std::vector<OutputRecord>& out) {
-  const bool tracing = tracer_ != nullptr && trace_events().enabled();
-  const std::uint64_t trace_start = tracing ? trace_now_nanos() : 0;
-  ModelHandle resolver = current_model();
-  const int action = resolve_action_id(resolver.detector->vocab(), event.action);
-  if (action < 0) {
-    serve_metrics().parse_errors.inc();
-    out.push_back({seq_.fetch_add(1, std::memory_order_relaxed),
-                   render_error_record("unknown action", event.action)});
-    return Enqueue::kRejected;
-  }
-  const std::size_t s = shard_of(event);
-  Shard& shard = *shards_[s];
-  Enqueue result = Enqueue::kAccepted;
-  std::uint64_t seq = 0;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    // Injected backpressure: exercises the producer's pump-and-retry path.
-    if (MISUSEDET_FAILPOINT("serve.enqueue")) return Enqueue::kQueueFull;
-    if (shard.queue.size() >= config_.queue_capacity) {
-      if (config_.backpressure == BackpressurePolicy::kBlock) return Enqueue::kQueueFull;
-      shard.queue.pop_front();
-      serve_metrics().dropped_events.inc();
-      result = Enqueue::kDroppedOldest;
-    }
-    Pending pending;
-    pending.event = event;
-    pending.action = action;
-    pending.resolved_under = std::move(resolver.detector);
-    seq = pending.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-    shard.queue.push_back(std::move(pending));
-    // Gauge updates stay inside the lock so per-shard depth transitions
-    // are serialized with the queue they describe.
-    if (result == Enqueue::kAccepted) queued_total_.fetch_add(1, std::memory_order_relaxed);
-    shard_queue_gauges_[s]->set(static_cast<std::int64_t>(shard.queue.size()));
-  }
-  if (event.has_timestamp) advance_clock(event.timestamp);
-  record_queue_depth();
-  if (tracing) {
-    const std::string key = session_key(event);
-    if (tracer_->sampled(key)) {
-      trace_events().record({"serve.enqueue", key, trace_start, trace_now_nanos() - trace_start,
-                             enqueue_trace_args(event, s, seq)});
-    }
-  }
-  return result;
-}
-
-void ScoringServer::pump(std::vector<OutputRecord>& out) {
-  Span pump_span("serve.pump");
-  std::vector<std::vector<OutputRecord>> shard_out(shards_.size());
-  std::atomic<std::uint64_t> pumped{0};
-  global_pool().parallel_for(0, shards_.size(), [&](std::size_t s) {
-    Shard& shard = *shards_[s];
-    std::deque<Pending> backlog;
-    {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      backlog.swap(shard.queue);
-      queued_total_.fetch_sub(static_cast<std::int64_t>(backlog.size()),
-                              std::memory_order_relaxed);
-      shard_queue_gauges_[s]->set(0);
-    }
-    if (backlog.empty()) return;
-    pumped.fetch_add(backlog.size(), std::memory_order_relaxed);
-    Span drain_span("serve.shard_drain");
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    // Hand the whole drain to the shard as one batch: distinct sessions'
-    // model forwards fuse into batched inference-engine steps, while
-    // arrival order (and the output stream) stays bit-identical to the
-    // per-event path.
-    std::vector<SessionShard::PendingEvent> batch;
-    batch.reserve(backlog.size());
-    for (const Pending& p : backlog) {
-      batch.push_back({&p.event, p.action, p.resolved_under.get(), p.seq});
-    }
-    shard.table->process_batch(batch, shard_out[s]);
-    // Group commit: one write hands the whole drain's WAL records to the
-    // OS before any of its verdicts become externally visible.
-    if (s < wals_.size() && wals_[s] != nullptr) wals_[s]->flush();
-  });
-  events_since_checkpoint_.fetch_add(pumped.load(std::memory_order_relaxed),
-                                     std::memory_order_relaxed);
-  std::size_t total = 0;
-  for (const auto& records : shard_out) total += records.size();
-  const std::size_t base = out.size();
-  out.reserve(base + total);
-  for (auto& records : shard_out) {
-    for (auto& r : records) out.push_back(std::move(r));
-  }
-  // Seq tags restore the global arrival order across shards (stable: an
-  // eviction report shares its triggering event's seq and goes first).
-  std::stable_sort(out.begin() + static_cast<std::ptrdiff_t>(base), out.end(),
-                   [](const OutputRecord& a, const OutputRecord& b) { return a.seq < b.seq; });
-  record_queue_depth();
 }
 
 void ScoringServer::append_reports(std::vector<OutputRecord>&& reports,
@@ -273,7 +151,6 @@ void ScoringServer::sweep_at(double now, std::vector<OutputRecord>& out) {
 }
 
 void ScoringServer::shutdown(std::vector<OutputRecord>& out) {
-  pump(out);
   std::vector<OutputRecord> reports;
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
@@ -282,7 +159,7 @@ void ScoringServer::shutdown(std::vector<OutputRecord>& out) {
   append_reports(std::move(reports), out);
   // Every session just reported: persist the (empty) tables so a restart
   // after a *graceful* exit recovers nothing.
-  if (wal_enabled()) write_checkpoint();
+  checkpoint();
 }
 
 std::size_t ScoringServer::recover(std::vector<OutputRecord>& out) {
@@ -376,7 +253,7 @@ std::size_t ScoringServer::recover(std::vector<OutputRecord>& out) {
 
   // 3. Re-base durability on the recovered state under the current
   //    layout, then re-attach the logs.
-  write_checkpoint();
+  checkpoint();
   for (std::size_t s = 0; s < shards_.size(); ++s) shards_[s]->table->set_wal(wals_[s].get());
   if (replayed > 0 || active_sessions() > 0) {
     log_info() << "recovered " << active_sessions() << " sessions (" << replayed
@@ -385,7 +262,8 @@ std::size_t ScoringServer::recover(std::vector<OutputRecord>& out) {
   return replayed;
 }
 
-void ScoringServer::write_checkpoint() {
+void ScoringServer::checkpoint() {
+  if (!wal_enabled()) return;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -404,18 +282,12 @@ void ScoringServer::write_checkpoint() {
   events_since_checkpoint_.store(0, std::memory_order_relaxed);
 }
 
-void ScoringServer::checkpoint(std::vector<OutputRecord>& out) {
-  if (!wal_enabled()) return;
-  pump(out);
-  write_checkpoint();
-}
-
-bool ScoringServer::maybe_checkpoint(std::vector<OutputRecord>& out) {
+bool ScoringServer::maybe_checkpoint() {
   if (!wal_enabled() || config_.snapshot_every == 0) return false;
   if (events_since_checkpoint_.load(std::memory_order_relaxed) < config_.snapshot_every) {
     return false;
   }
-  checkpoint(out);
+  checkpoint();
   return true;
 }
 
@@ -502,32 +374,17 @@ std::size_t ScoringServer::active_sessions() const {
   return total;
 }
 
-std::size_t ScoringServer::queued_events() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->queue.size();
-  }
-  return total;
-}
-
 double ScoringServer::event_clock() const { return clock_.load(std::memory_order_relaxed); }
 
 std::vector<ScoringServer::ShardStatus> ScoringServer::shard_status() const {
   std::vector<ShardStatus> out;
   out.reserve(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& shard = *shards_[s];
+  for (const auto& shard : shards_) {
     ShardStatus status;
-    status.queue_capacity = config_.queue_capacity;
     status.max_sessions = shard_max_sessions_;
-    status.queue_high_water = shard_queue_gauges_[s]->high_water();
-    {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      status.queue_depth = shard.queue.size();
-      status.sessions = shard.table->active_sessions();
-      status.last_applied_seq = shard.table->last_applied_seq();
-    }
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    status.sessions = shard->table->active_sessions();
+    status.last_applied_seq = shard->table->last_applied_seq();
     out.push_back(status);
   }
   return out;
@@ -541,7 +398,6 @@ bool ScoringServer::wal_ok() const {
 }
 
 void ScoringServer::set_trace_sampler(std::shared_ptr<SessionTraceSampler> sampler) {
-  tracer_ = sampler;
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     shard->table->set_trace_sampler(sampler);
@@ -566,13 +422,6 @@ ScoringServer::SwapStats ScoringServer::swap_model(ModelHandle next,
                                                    std::vector<OutputRecord>& out) {
   assert(next.detector != nullptr);
   SwapStats stats;
-  Timer drain_timer;
-  // Drain to the barrier: queued events were resolved under the old
-  // model and score under whatever their session pinned; pumping first
-  // keeps the locked pause window free of backlog work.
-  pump(out);
-  stats.drain_seconds = drain_timer.seconds();
-
   const bool compatible =
       next.detector->vocab().fingerprint() == current_model().detector->vocab().fingerprint();
   std::vector<OutputRecord> reports;

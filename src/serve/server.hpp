@@ -1,37 +1,26 @@
 // ScoringServer: the streaming core of misusedet_serve. Consumes an
-// interleaved event stream from many users, shards sessions over a set
-// of SessionShards (stable FNV-1a of user_id+session_id), and scores
-// each shard's backlog on the global thread pool.
+// interleaved event stream from many users and shards sessions over a
+// set of SessionShards (stable FNV-1a of user_id+session_id).
 //
 // Architecture (see DESIGN.md "Serving"):
-//   * enqueue(): parse-validated events land in a *bounded* per-shard
-//     FIFO. When a queue is full the configured backpressure policy
-//     applies — kBlock reports kQueueFull so the producer drains (pump)
-//     before retrying, kDropOldest discards the queue head and admits
-//     the new event (freshness over completeness).
-//   * pump(): drains every shard concurrently via global_pool(). Shards
-//     never share sessions, each session's events stay in one FIFO, and
+//   * submit_batch(): the one scoring entry, shared by the TCP front end
+//     (everything one epoll wakeup delivered) and stdin pipe mode (up to
+//     --batch lines). It locks the touched shards in index order, stages
+//     each one, runs one fused OnlineMonitor::observe_batch per pinned
+//     detector across all of them (the shards share the weights, so one
+//     weight pass serves every ready session), commits in arrival order,
+//     and group-commits each WAL once. Shards never share sessions and
 //     OnlineMonitor is deterministic, so every per-session score stream
-//     is bit-identical to the offline monitor regardless of shard count
-//     or thread count. Outputs are merged by input sequence number, so
+//     is bit-identical to the offline monitor at any shard count and any
+//     batch split. Records come back sorted by input sequence number, so
 //     the emitted NDJSON order equals arrival order.
+//   * submit_sync(): submit_batch of one event.
 //   * sweep(): retires idle sessions by *event time* TTL.
-//   * shutdown(): graceful drain — pumps the backlog, then emits an
-//     end-of-session report for every open session.
-//   * submit_batch(): the TCP entry point. Scores a batch of events
-//     immediately, bypassing the queue: everything one epoll wakeup
-//     delivered. It locks the
-//     touched shards in index order, stages each one, runs one fused
-//     OnlineMonitor::observe_batch per pinned detector across all of
-//     them (the shards share the weights, so one weight pass serves
-//     every ready session), commits in arrival order, and group-commits
-//     each WAL once. The verdicts are bit-identical to scoring the
-//     events one at a time.
+//   * shutdown(): emits an end-of-session report for every open session.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -42,19 +31,11 @@
 #include "core/drift.hpp"
 #include "serve/session_table.hpp"
 #include "serve/shadow.hpp"
-#include "util/metrics.hpp"
 
 namespace misuse::serve {
 
-enum class BackpressurePolicy {
-  kBlock,      // producer must pump before the event is admitted
-  kDropOldest, // discard the queue head to admit the new event
-};
-
 struct ServeConfig {
   std::size_t shards = 4;
-  std::size_t queue_capacity = 1024;  // events per shard
-  BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   double idle_ttl_seconds = 900.0;
   std::size_t max_sessions = 4096;  // across all shards
   bool emit_steps = true;
@@ -94,30 +75,13 @@ class ScoringServer {
   /// `model.version` and the model can be hot-swapped.
   ScoringServer(ModelHandle model, const ServeConfig& config);
 
-  enum class Enqueue {
-    kAccepted,
-    kRejected,      // invalid action — an "error" record was appended
-    kQueueFull,     // kBlock policy: pump() and retry
-    kDroppedOldest, // admitted after discarding the queue head
-  };
-
-  /// Validates the action against the detector vocabulary and queues the
-  /// event on its shard. Error records for rejected events are appended
-  /// to `out` immediately.
-  Enqueue enqueue(const Event& event, std::vector<OutputRecord>& out);
-
-  /// Drains all shard queues (concurrently when the pool has workers)
-  /// and appends the resulting records to `out` in input order.
-  void pump(std::vector<OutputRecord>& out);
-
   /// TTL sweep at the stream's current event time (or an explicit time).
   void sweep(std::vector<OutputRecord>& out) { sweep_at(event_clock(), out); }
   void sweep_at(double now, std::vector<OutputRecord>& out);
 
-  /// Graceful shutdown: pump the backlog, then emit a report for every
-  /// open session. The server stays usable afterwards (tables empty).
-  /// With a WAL dir, ends with an empty checkpoint so a later restart
-  /// recovers nothing.
+  /// Graceful shutdown: emits a report for every open session. The
+  /// server stays usable afterwards (tables empty). With a WAL dir, ends
+  /// with an empty checkpoint so a later restart recovers nothing.
   void shutdown(std::vector<OutputRecord>& out);
 
   // -- Crash recovery (serve/wal.hpp; DESIGN.md "Fault tolerance") ---------
@@ -131,14 +95,15 @@ class ScoringServer {
   /// events replayed. No-op without a WAL dir.
   std::size_t recover(std::vector<OutputRecord>& out);
 
-  /// Pumps, snapshots every shard, and truncates the WALs the snapshots
-  /// now cover. A crash at any point is safe: snapshots replace
-  /// atomically, and the WAL is only truncated after its snapshot landed.
-  void checkpoint(std::vector<OutputRecord>& out);
+  /// Snapshots every shard and truncates the WALs the snapshots now
+  /// cover; no-op without a WAL dir. A crash at any point is safe:
+  /// snapshots replace atomically, and the WAL is only truncated after
+  /// its snapshot landed.
+  void checkpoint();
 
   /// checkpoint() once at least `snapshot_every` events were applied
   /// since the last one. Returns true when a checkpoint ran.
-  bool maybe_checkpoint(std::vector<OutputRecord>& out);
+  bool maybe_checkpoint();
 
   bool wal_enabled() const { return !config_.wal_dir.empty(); }
 
@@ -148,10 +113,11 @@ class ScoringServer {
     std::uint64_t first_seq = 0;
     std::size_t rejected = 0;  // events answered with an error record
   };
-  /// Scores `events` now, in order, as one cross-shard fused step (TCP
-  /// path). Appends their records to `out` sorted by seq, so a caller
-  /// maps each record back to its event through first_seq. Events whose
-  /// action is invalid get an error record.
+  /// The server's one scoring entry: scores `events` now, in order, as
+  /// one cross-shard fused step, logging every event to its shard's WAL
+  /// before its verdict. Appends their records to `out` sorted by seq, so
+  /// a caller maps each record back to its event through first_seq.
+  /// Events whose action is invalid get an error record.
   Submitted submit_batch(std::span<const Event> events, std::vector<OutputRecord>& out);
 
   /// submit_batch of one event; false (with an error record) when the
@@ -163,7 +129,6 @@ class ScoringServer {
   }
   std::size_t shard_count() const { return shards_.size(); }
   std::size_t active_sessions() const;
-  std::size_t queued_events() const;
   /// Largest event timestamp admitted so far.
   double event_clock() const;
 
@@ -171,9 +136,6 @@ class ScoringServer {
 
   /// Point-in-time view of one shard, taken under its lock.
   struct ShardStatus {
-    std::size_t queue_depth = 0;
-    std::size_t queue_capacity = 0;
-    std::int64_t queue_high_water = 0;  // since process start
     std::size_t sessions = 0;
     std::size_t max_sessions = 0;  // per-shard share of the global cap
     std::uint64_t last_applied_seq = 0;
@@ -191,12 +153,12 @@ class ScoringServer {
   bool wal_ok() const;
 
   /// Attaches the head sampler for live trace export (--trace-sample):
-  /// enqueue/step/report events of sampled sessions land in the global
+  /// step/report events of sampled sessions land in the global
   /// trace-event ring. nullptr detaches. Set before serving.
   void set_trace_sampler(std::shared_ptr<SessionTraceSampler> sampler);
 
   /// Observation hooks, forwarded to every shard. Set before serving;
-  /// callbacks may fire concurrently from pool workers.
+  /// callbacks fire on the thread that scores the event.
   void set_step_observer(const StepObserver& observer);
   void set_report_observer(const ReportObserver& observer);
 
@@ -204,9 +166,9 @@ class ScoringServer {
 
   // -- Model lifecycle (DESIGN.md "Model lifecycle") -----------------------
 
-  /// Zero-downtime hot-swap: drains the queued backlog to a barrier
-  /// under the old model, then atomically repoints every shard (and the
-  /// enqueue path) at `next`. Open sessions pin the model they started
+  /// Zero-downtime hot-swap: at a barrier (every shard locked, so no
+  /// event is mid-score) atomically repoints every shard (and
+  /// submit_batch's action resolution) at `next`. Open sessions pin the model they started
   /// under, so when the vocabularies are compatible (equal fingerprints)
   /// they simply continue — each session's whole score stream still
   /// comes from exactly one version. When the vocabularies differ, every
@@ -214,7 +176,6 @@ class ScoringServer {
   /// (emitted, never dropped) and traffic reopens under `next`. No event
   /// is lost either way.
   struct SwapStats {
-    double drain_seconds = 0.0;   // backlog pump before the barrier
     double pause_seconds = 0.0;   // all-shards-locked window
     std::size_t rolled_sessions = 0;  // sessions finished at the barrier
   };
@@ -230,17 +191,8 @@ class ScoringServer {
   void clear_shadow();
 
  private:
-  struct Pending {
-    Event event;
-    int action = 0;
-    /// Keeps the model that resolved `action` alive (and identifiable)
-    /// until the event is processed, across any number of swaps.
-    std::shared_ptr<const core::MisuseDetector> resolved_under;
-    std::uint64_t seq = 0;
-  };
   struct Shard {
     mutable std::mutex mutex;
-    std::deque<Pending> queue;
     std::unique_ptr<SessionShard> table;
   };
 
@@ -248,31 +200,17 @@ class ScoringServer {
   /// record order so output is independent of the shard count.
   void append_reports(std::vector<OutputRecord>&& reports, std::vector<OutputRecord>& out);
   void advance_clock(double t);
-  void record_queue_depth() const;
   void init_drift();
   void observe_drift(const std::vector<int>& actions);
 
-  /// Snapshots every shard + truncates covered WALs (no pump; callers
-  /// hold no shard locks).
-  void write_checkpoint();
-
   /// The model resolving actions for *new* traffic; swapped under
-  /// model_mutex_ (readers take it shared — enqueue/submit_batch resolve
-  /// against a stable handle without blocking each other).
+  /// model_mutex_ (readers take it shared — concurrent submit_batch
+  /// calls resolve against a stable handle without blocking each other).
   ModelHandle model_;
   mutable std::shared_mutex model_mutex_;
   ServeConfig config_;
   std::size_t shard_max_sessions_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// serve.shard.queue_depth.<k> gauges, updated under shard k's lock on
-  /// every enqueue/drain so saturation is visible *before* the
-  /// backpressure policy starts dropping or blocking.
-  std::vector<Gauge*> shard_queue_gauges_;
-  /// Events queued across all shards, maintained incrementally so the
-  /// serve.queue_depth gauge costs one atomic instead of an all-shard
-  /// lock sweep per enqueue.
-  std::atomic<std::int64_t> queued_total_{0};
-  std::shared_ptr<SessionTraceSampler> tracer_;
   std::vector<std::unique_ptr<WalWriter>> wals_;
   /// Sequence numbers start at 1: snapshot watermarks mean "replay
   /// strictly after", so 0 must stay the "nothing applied" sentinel.
@@ -281,7 +219,7 @@ class ScoringServer {
   std::atomic<std::uint64_t> events_since_checkpoint_{0};
 
   /// Drift sink: shards report finished sessions' action histories here
-  /// (possibly from pool workers, hence the mutex).
+  /// (from whichever thread scores them, hence the mutex).
   std::mutex drift_mutex_;
   std::unique_ptr<core::DriftMonitor> drift_;
 };

@@ -7,7 +7,6 @@
 #include "serve/metrics.hpp"
 #include "serve/shadow.hpp"
 #include "util/json.hpp"
-#include "util/timer.hpp"
 #include "util/trace.hpp"
 
 namespace misuse::serve {
@@ -48,16 +47,8 @@ void SessionShard::process(const Event& event, int action,
                            const core::MisuseDetector* resolved_under, std::uint64_t seq,
                            std::vector<OutputRecord>& out) {
   const PendingEvent pending{&event, action, resolved_under, seq};
-  process_batch(std::span<const PendingEvent>(&pending, 1), out);
-}
-
-void SessionShard::process_batch(std::span<const PendingEvent> events,
-                                 std::vector<OutputRecord>& out) {
-  const bool record = metrics_enabled();
-  Timer timer;
-  std::size_t scored = stage(events, out);
-  scored += settle(out);
-  if (record) record_step_share(timer.seconds(), scored);
+  stage(std::span<const PendingEvent>(&pending, 1), out);
+  settle(out);
 }
 
 std::size_t SessionShard::stage(std::span<const PendingEvent> events,

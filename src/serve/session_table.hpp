@@ -65,8 +65,8 @@ struct ShardConfig {
 
 /// Structured observation hooks, for tests and in-process embedders that
 /// want StepResults without reparsing JSON. Called while the owning
-/// shard is being driven — possibly from a pool worker — so the callback
-/// must be thread-safe across shards.
+/// shard is being driven, on the thread that scores the event; callers
+/// that submit from several threads need a thread-safe callback.
 using StepObserver =
     std::function<void(const Event&, const core::OnlineMonitor::StepResult&)>;
 using ReportObserver = std::function<void(std::string_view user_id, std::string_view session_id,
@@ -82,18 +82,20 @@ class SessionShard {
   SessionShard(ModelHandle model, const ShardConfig& config)
       : model_(std::move(model)), config_(config) {}
 
-  /// Scores one event and appends the step record. Opens the session on
-  /// first sight (pinning the shard's current model into it), evicting
-  /// the least-recently-seen session first when the shard is full.
-  /// `action` was resolved under `resolved_under`'s vocabulary; when the
-  /// session is pinned to a *different* model (an event raced a
-  /// hot-swap), the raw action string is re-resolved under the session's
-  /// own vocabulary, so a stale id is never fed to the wrong model.
+  /// Scores one event and appends the step record (crash recovery's
+  /// replay path). Opens the session on first sight (pinning the shard's
+  /// current model into it), evicting the least-recently-seen session
+  /// first when the shard is full. `action` was resolved under
+  /// `resolved_under`'s vocabulary; when the session is pinned to a
+  /// *different* model (an event raced a hot-swap), the raw action
+  /// string is re-resolved under the session's own vocabulary, so a
+  /// stale id is never fed to the wrong model. Exactly stage() of the
+  /// one event, then settle().
   void process(const Event& event, int action, const core::MisuseDetector* resolved_under,
                std::uint64_t seq, std::vector<OutputRecord>& out);
 
-  /// One queued event, pre-resolved by the server's parse stage. The
-  /// pointed-to Event must stay alive for the process_batch call.
+  /// One event, pre-resolved by the server's parse stage. The pointed-to
+  /// Event must stay alive until commit().
   struct PendingEvent {
     const Event* event = nullptr;
     int action = -1;
@@ -101,16 +103,13 @@ class SessionShard {
     std::uint64_t seq = 0;
   };
 
-  /// Applies a batch of events in arrival order, bit-identical to calling
-  /// process() per event — but the model forwards of distinct sessions
-  /// are fused into per-detector batched steps (the inference engine's
-  /// hot path). Repeated events of the *same* session still advance
-  /// strictly in sequence: the k-th event of a session in the batch runs
-  /// in wave k, after the session's earlier waves.
-  /// Exactly stage() + observe_staged({this}) + commit().
-  void process_batch(std::span<const PendingEvent> events, std::vector<OutputRecord>& out);
-
   // -- Split batch (ScoringServer::submit_batch fuses across shards) -------
+  // Applying a batch is bit-identical to process() per event, but the
+  // model forwards of distinct sessions are fused into per-detector
+  // batched steps (the inference engine's hot path). Repeated events of
+  // the *same* session still advance strictly in sequence: the k-th
+  // event of a session in the batch runs in wave k, after the session's
+  // earlier waves.
 
   /// Stage half: session lookup/open, clock, WAL append and watermark in
   /// arrival order, leaving each event's monitor step pending. Each
@@ -179,7 +178,7 @@ class SessionShard {
   // -- Crash safety (serve/wal.hpp) ----------------------------------------
 
   /// Attaches (or detaches, with nullptr) the shard's write-ahead log;
-  /// process() then logs every event before applying it (buffered — the
+  /// stage() then logs every event before applying it (buffered — the
   /// owning server flushes the log before emitting the batch's verdicts).
   void set_wal(WalWriter* wal) { wal_ = wal; }
 

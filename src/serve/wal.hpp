@@ -5,9 +5,10 @@
 //     Every record is framed [u32 len][payload][u32 crc32(payload)], so a
 //     torn tail (crash mid-append) is detected and dropped at recovery
 //     instead of poisoning the replay. Events are logged immediately
-//     before they are applied to the session table, so the WAL is exactly
-//     the sequence of scored actions; events that were queued but never
-//     pumped are the (documented) at-most-once durability boundary.
+//     before they are applied to the session table, and every batch's
+//     records reach the OS before any of its verdicts is emitted, so the
+//     WAL is exactly the sequence of scored actions: every event handed
+//     to the server is logged before its verdict.
 //   * shard-<k>.snap — a periodic snapshot of the shard's session table:
 //     per session the raw action history, from which the deterministic
 //     OnlineMonitor state is rebuilt by re-feeding. The snapshot's

@@ -1,7 +1,7 @@
 // misusedet_top: console dashboard over a serve node's admin plane.
 // Polls /statusz (flat JSON) and /metrics (Prometheus text) at a fixed
 // interval and renders a refreshing view: health, model versions,
-// per-shard queue/session table, interval actions/sec, alarm rate,
+// per-shard session table, interval actions/sec, alarm rate,
 // p50/p99 step latency and the mean events per fused scoring step
 // ("batch"), all computed from histogram *deltas* (so they describe the
 // last interval, not the process lifetime).
@@ -220,10 +220,9 @@ void render(const std::string& host, std::uint16_t port, const std::vector<JsonF
 
   const double sessions = field_number(statusz, "sessions_active").value_or(0);
   const double limit = field_number(statusz, "sessions_limit").value_or(0);
-  const double queued = field_number(statusz, "queued_events").value_or(0);
   const double wal_lag = field_number(statusz, "wal_watermark_lag").value_or(0);
   out << "health " << health << "   sessions " << fmt(sessions, 0) << "/" << fmt(limit, 0)
-      << "   queued " << fmt(queued, 0) << "   wal lag " << fmt(wal_lag, 0) << " events\n";
+      << "   wal lag " << fmt(wal_lag, 0) << " events\n";
 
   if (before) {
     MetricsDelta delta(*before, now);
@@ -231,7 +230,6 @@ void render(const std::string& host, std::uint16_t port, const std::vector<JsonF
     const double alarms = delta.counter_delta("misusedet_serve_alarms_total");
     out << "actions/sec " << fmt(delta.rate("misusedet_serve_steps_total"))
         << "   alarm rate " << fmt(steps > 0 ? alarms / steps : 0.0, 4)
-        << "   drops/sec " << fmt(delta.rate("misusedet_serve_dropped_events_total"))
         << "   p50 " << fmt_latency(delta.histogram_quantile("misusedet_serve_step_seconds", 0.5))
         << "   p99 " << fmt_latency(delta.histogram_quantile("misusedet_serve_step_seconds", 0.99))
         << "   batch " << fmt(delta.histogram_mean(kBatchEvents), 1)
@@ -255,12 +253,10 @@ void render(const std::string& host, std::uint16_t port, const std::vector<JsonF
   }
 
   const double shards = field_number(statusz, "shards").value_or(0);
-  Table table({"shard", "queue", "high_water", "sessions", "applied_seq"});
+  Table table({"shard", "sessions", "applied_seq"});
   for (std::size_t s = 0; s < static_cast<std::size_t>(shards); ++s) {
     const std::string prefix = "shard." + std::to_string(s) + ".";
     table.add_row({std::to_string(s),
-                   fmt(field_number(statusz, prefix + "queue_depth").value_or(0), 0),
-                   fmt(field_number(statusz, prefix + "queue_high_water").value_or(0), 0),
                    fmt(field_number(statusz, prefix + "sessions").value_or(0), 0),
                    fmt(field_number(statusz, prefix + "last_applied_seq").value_or(0), 0)});
   }

@@ -1,8 +1,7 @@
 // Operations plane (serve/admin.hpp): endpoint rendering over real HTTP,
-// /statusz flat-JSON introspection, /healthz state transitions, the
-// saturation-before-drop observability contract for the per-shard queue
-// gauges, scrape/no-scrape byte-identity of scored output, and head
-// sampling into /tracez.
+// /statusz flat-JSON introspection, /healthz state transitions,
+// scrape/no-scrape byte-identity of scored output, and head sampling
+// into /tracez.
 #include "serve/admin.hpp"
 
 #include <gtest/gtest.h>
@@ -135,15 +134,12 @@ class AdminFixture : public ::testing::Test {
     return events;
   }
 
-  /// Scores `events` against `server` the way the batch path does,
-  /// returning the emitted lines in order.
+  /// Scores `events` against `server` one event per batch (so scrapes
+  /// interleave with many shard-lock windows), returning the emitted
+  /// lines in order.
   static std::vector<std::string> score(ScoringServer& server, const std::vector<Event>& events) {
     std::vector<OutputRecord> out;
-    for (const Event& e : events) {
-      while (server.enqueue(e, out) == ScoringServer::Enqueue::kQueueFull) {
-        server.pump(out);
-      }
-    }
+    for (const Event& e : events) server.submit_sync(e, out);
     server.shutdown(out);
     std::vector<std::string> lines;
     lines.reserve(out.size());
@@ -171,10 +167,7 @@ TEST_F(AdminFixture, MetricsEndpointServesPrometheusText) {
   ASSERT_NE(admin.port(), 0);
 
   std::vector<OutputRecord> out;
-  for (const Event& e : interleave(pick_sessions(4))) {
-    (void)server.enqueue(e, out);
-  }
-  server.pump(out);
+  server.submit_batch(interleave(pick_sessions(4)), out);
 
   const auto scrapes_before = serve_metrics().admin_scrapes.value();
   const HttpResponse response = http_get(admin.port(), "/metrics");
@@ -196,8 +189,7 @@ TEST_F(AdminFixture, StatuszIsOneFlatJsonLine) {
 
   std::vector<OutputRecord> out;
   const auto events = interleave(pick_sessions(5));
-  for (const Event& e : events) (void)server.enqueue(e, out);
-  server.pump(out);
+  server.submit_batch(events, out);
 
   const HttpResponse response = http_get(admin.port(), "/statusz");
   ASSERT_EQ(response.status, 200);
@@ -216,11 +208,11 @@ TEST_F(AdminFixture, StatuszIsOneFlatJsonLine) {
   EXPECT_EQ(get_number(fields, "next_seq"), static_cast<double>(events.size() + 1));
   for (std::size_t k = 0; k < 3; ++k) {
     const std::string prefix = "shard." + std::to_string(k) + ".";
-    EXPECT_TRUE(get_number(fields, prefix + "queue_depth").has_value()) << prefix;
     EXPECT_TRUE(get_number(fields, prefix + "sessions").has_value()) << prefix;
-    EXPECT_TRUE(get_number(fields, prefix + "queue_high_water").has_value()) << prefix;
+    EXPECT_TRUE(get_number(fields, prefix + "max_sessions").has_value()) << prefix;
     EXPECT_TRUE(get_number(fields, prefix + "last_applied_seq").has_value()) << prefix;
   }
+  EXPECT_EQ(body.find("queue"), std::string::npos) << "the server has no event queues";
 }
 
 TEST_F(AdminFixture, StatuszSurfacesLearnStateWithPrefix) {
@@ -296,65 +288,7 @@ TEST_F(AdminFixture, HealthzReportsOkOnFreshServer) {
   ASSERT_TRUE(parse_flat_json(response.body.substr(0, response.body.find('\n')), fields, error))
       << error;
   EXPECT_EQ(get_string(fields, "status"), "ok");
-}
-
-TEST_F(AdminFixture, HealthzDegradesOnQueueSaturation) {
-  ServeConfig config;
-  config.shards = 1;
-  config.queue_capacity = 10;
-  ScoringServer server(*detector_, config);
-  AdminServer admin(server, AdminConfig{});
-
-  // 9 of 10 slots for one session key: saturation 0.9 crosses the
-  // degraded threshold without reaching capacity.
-  const auto sessions = pick_sessions(1);
-  ASSERT_FALSE(sessions.empty());
-  std::vector<OutputRecord> out;
-  Event e;
-  e.user_id = "u0";
-  e.session_id = "sat";
-  e.action = detector_->vocab().name(sessions[0][0]);
-  e.has_timestamp = true;
-  for (int i = 0; i < 9; ++i) {
-    e.timestamp = i;
-    ASSERT_EQ(server.enqueue(e, out), ScoringServer::Enqueue::kAccepted);
-  }
-  int status = 0;
-  const std::string body = admin.render_healthz(&status);
-  EXPECT_EQ(status, 200);  // degraded still answers 200
-  EXPECT_NE(body.find("\"status\":\"degraded\""), std::string::npos) << body;
-  EXPECT_NE(body.find("queue_pressure"), std::string::npos) << body;
-  server.pump(out);  // drain before teardown
-  int after = 0;
-  const std::string drained = admin.render_healthz(&after);
-  EXPECT_EQ(after, 200);
-  EXPECT_NE(drained.find("\"status\":\"ok\""), std::string::npos) << drained;
-}
-
-TEST_F(AdminFixture, HealthzUnhealthyWhenEveryShardIsFull) {
-  ServeConfig config;
-  config.shards = 1;
-  config.queue_capacity = 6;
-  config.backpressure = BackpressurePolicy::kDropOldest;  // stay full without blocking
-  ScoringServer server(*detector_, config);
-  AdminServer admin(server, AdminConfig{});
-
-  const auto sessions = pick_sessions(1);
-  std::vector<OutputRecord> out;
-  Event e;
-  e.user_id = "u0";
-  e.session_id = "full";
-  e.action = detector_->vocab().name(sessions[0][0]);
-  e.has_timestamp = true;
-  for (int i = 0; i < 6; ++i) {
-    e.timestamp = i;
-    ASSERT_EQ(server.enqueue(e, out), ScoringServer::Enqueue::kAccepted);
-  }
-  int status = 0;
-  const std::string body = admin.render_healthz(&status);
-  EXPECT_EQ(status, 503);
-  EXPECT_NE(body.find("\"status\":\"unhealthy\""), std::string::npos) << body;
-  server.pump(out);
+  EXPECT_EQ(response.body.find("queue"), std::string::npos) << response.body;
 }
 
 TEST_F(AdminFixture, HealthzTracksReloadFailureStreak) {
@@ -380,48 +314,6 @@ TEST_F(AdminFixture, HealthzTracksReloadFailureStreak) {
   body = admin.render_healthz(&status);
   EXPECT_EQ(status, 200);
   EXPECT_NE(body.find("\"status\":\"ok\""), std::string::npos) << body;
-}
-
-// ---------------------------------------------------------------------------
-// Satellite: queue saturation must be observable on the per-shard gauges
-// *before* the backpressure policy starts dropping events.
-
-TEST_F(AdminFixture, QueueGaugesShowSaturationBeforeDropsBegin) {
-  ServeConfig config;
-  config.shards = 1;
-  config.queue_capacity = 8;
-  config.backpressure = BackpressurePolicy::kDropOldest;
-  ScoringServer server(*detector_, config);
-  // The gauge (and its high-water mark) is registry-global and earlier
-  // tests in this process already pushed it past this test's capacity.
-  metrics().gauge("serve.shard.queue_depth.0").reset();
-
-  const auto sessions = pick_sessions(1);
-  const auto dropped_before = serve_metrics().dropped_events.value();
-  std::vector<OutputRecord> out;
-  Event e;
-  e.user_id = "u0";
-  e.session_id = "pressure";
-  e.action = detector_->vocab().name(sessions[0][0]);
-  e.has_timestamp = true;
-  for (int i = 0; i < 8; ++i) {
-    e.timestamp = i;
-    ASSERT_EQ(server.enqueue(e, out), ScoringServer::Enqueue::kAccepted);
-  }
-  // Saturated but nothing lost yet: the gauge and its high-water mark
-  // already read full while the dropped counter is still flat.
-  EXPECT_EQ(metrics().gauge("serve.shard.queue_depth.0").value(), 8);
-  EXPECT_EQ(metrics().gauge("serve.shard.queue_depth.0").high_water(), 8);
-  EXPECT_EQ(server.shard_status()[0].queue_high_water, 8);
-  EXPECT_EQ(serve_metrics().dropped_events.value(), dropped_before);
-
-  // The ninth event is the first casualty.
-  e.timestamp = 8;
-  EXPECT_EQ(server.enqueue(e, out), ScoringServer::Enqueue::kDroppedOldest);
-  EXPECT_EQ(serve_metrics().dropped_events.value(), dropped_before + 1);
-  EXPECT_EQ(metrics().gauge("serve.shard.queue_depth.0").value(), 8);
-  server.pump(out);
-  EXPECT_EQ(metrics().gauge("serve.shard.queue_depth.0").value(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -489,9 +381,7 @@ TEST_F(AdminFixture, TracezExportsOnlyHeadSampledSessions) {
   AdminServer admin(server, AdminConfig{});
 
   std::vector<OutputRecord> out;
-  for (const Event& e : interleave(pick_sessions(4))) {
-    while (server.enqueue(e, out) == ScoringServer::Enqueue::kQueueFull) server.pump(out);
-  }
+  server.submit_batch(interleave(pick_sessions(4)), out);
   server.shutdown(out);
 
   // Exactly the head: 4 distinct sessions offered, 2 sampled.

@@ -123,7 +123,7 @@ void expect_same_lines(const std::string& expected, const std::string& actual) {
 std::string run_serve_scalar(const std::string& out_path,
                              const std::string& model_path = kDetectorPath) {
   const std::string command = std::string(MISUSEDET_SERVE_BIN) + " --model=" + model_path +
-                              " --shards=1 --threads=1 --batch=64 < " +
+                              " --shards=1 --batch=64 < " +
                               kTracePath + " > " + out_path + " 2> " + out_path + ".err";
   const int rc = std::system(command.c_str());
   EXPECT_EQ(rc, 0) << "serve exited " << rc << "\nstderr:\n" << read_file(out_path + ".err");

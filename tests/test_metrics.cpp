@@ -319,7 +319,7 @@ void expect_bucket_invariants(const std::vector<PromSample>& samples, const std:
 
 TEST(Prometheus, NameManglingAndPrefix) {
   EXPECT_EQ(prometheus_name("serve.step_seconds"), "misusedet_serve_step_seconds");
-  EXPECT_EQ(prometheus_name("serve.shard.queue_depth.0"), "misusedet_serve_shard_queue_depth_0");
+  EXPECT_EQ(prometheus_name("lm.cluster.fit_seconds.0"), "misusedet_lm_cluster_fit_seconds_0");
   EXPECT_EQ(prometheus_name("weird-name with spaces"), "misusedet_weird_name_with_spaces");
 }
 

@@ -1,6 +1,7 @@
 // Streaming scoring server: wire-format parsing, shard determinism
-// (bit-identical to the offline OnlineMonitor), eviction policies,
-// backpressure, graceful shutdown, and the serve metrics panel.
+// (bit-identical to the offline OnlineMonitor at any shard count and
+// batch split), eviction policies, graceful shutdown, and the serve
+// metrics panel.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
@@ -21,7 +22,6 @@
 #include "util/failpoint.hpp"
 #include "util/line_io.hpp"
 #include "util/serialize.hpp"
-#include "util/thread_pool.hpp"
 #include "temp_dir.hpp"
 
 namespace misuse::serve {
@@ -152,6 +152,18 @@ class ServeFixture : public ::testing::Test {
     return events;
   }
 
+  /// Scores `events` through submit_batch in chunks of 1, 2, ...,
+  /// `max_chunk` events, cycling, so sessions straddle batch boundaries
+  /// and repeat within a batch.
+  static void submit_mixed(ScoringServer& server, const std::vector<Event>& events,
+                           std::vector<OutputRecord>& out, std::size_t max_chunk = 16) {
+    for (std::size_t begin = 0, size = 1; begin < events.size();
+         begin += size, size = size % max_chunk + 1) {
+      const std::size_t n = std::min(size, events.size() - begin);
+      server.submit_batch(std::span<const Event>(events.data() + begin, n), out);
+    }
+  }
+
   /// A retrained detector over the *same* store (same vocabulary, same
   /// fingerprint, different weights): the compatible hot-swap candidate.
   /// Trained lazily — only lifecycle tests pay for it.
@@ -249,20 +261,15 @@ void expect_steps_bit_identical(const core::OnlineMonitor::StepResult& got,
 }
 
 // The acceptance gate: an interleaved multi-session trace pushed through
-// the sharded, queued, pool-driven server scores exactly like replaying
+// the sharded server in mixed batch sizes scores exactly like replaying
 // each session through a standalone OnlineMonitor.
 TEST_F(ServeFixture, ServerMatchesOfflineMonitorBitIdentically) {
   const auto sessions = pick_sessions(12);
   ASSERT_GE(sessions.size(), 8u);
   const auto events = interleave(sessions);
 
-  const std::size_t previous_threads = global_thread_count();
-  set_global_threads(4);
-
   ServeConfig config;
   config.shards = 3;
-  config.queue_capacity = 16;  // small: forces mid-stream pumps
-  config.backpressure = BackpressurePolicy::kBlock;
   config.idle_ttl_seconds = 1e9;
   ScoringServer server(*detector_, config);
   StepCollector steps;
@@ -271,13 +278,8 @@ TEST_F(ServeFixture, ServerMatchesOfflineMonitorBitIdentically) {
   server.set_report_observer(reports.observer());
 
   std::vector<OutputRecord> out;
-  for (const Event& event : events) {
-    while (server.enqueue(event, out) == ScoringServer::Enqueue::kQueueFull) {
-      server.pump(out);
-    }
-  }
+  submit_mixed(server, events, out);
   server.shutdown(out);
-  set_global_threads(previous_threads);
 
   // Offline reference: sequential replay, one monitor per session.
   for (std::size_t s = 0; s < sessions.size(); ++s) {
@@ -308,7 +310,7 @@ TEST_F(ServeFixture, ServerMatchesOfflineMonitorBitIdentically) {
   EXPECT_EQ(server.active_sessions(), 0u);
 }
 
-// submit_sync (the TCP path) goes through the same shard scoring.
+// submit_sync (one event per batch) goes through the same shard scoring.
 TEST_F(ServeFixture, SubmitSyncMatchesOfflineMonitor) {
   const auto sessions = pick_sessions(1);
   ASSERT_EQ(sessions.size(), 1u);
@@ -477,13 +479,10 @@ TEST_F(ServeFixture, OutputOrderFollowsArrivalOrder) {
   const auto events = interleave(sessions);
   ServeConfig config;
   config.shards = 4;
-  config.queue_capacity = 1 << 12;
   ScoringServer server(*detector_, config);
   std::vector<OutputRecord> out;
-  for (const Event& event : events) {
-    ASSERT_EQ(server.enqueue(event, out), ScoringServer::Enqueue::kAccepted);
-  }
-  server.pump(out);
+  const auto submitted = server.submit_batch(events, out);  // one batch across all shards
+  EXPECT_EQ(submitted.rejected, 0u);
   ASSERT_EQ(out.size(), events.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     // Alarming steps carry a nested "expected" array, so check the
@@ -497,21 +496,18 @@ TEST_F(ServeFixture, OutputOrderFollowsArrivalOrder) {
 }
 
 // The full NDJSON stream — steps AND end-of-session reports — must be
-// byte-identical at any shard/thread combination: shard partitioning is
-// an implementation detail that must not leak into the output.
+// byte-identical at any shard count and batch split: shard partitioning
+// and batching are implementation details that must not leak into the
+// output.
 TEST_F(ServeFixture, RenderedOutputIdenticalAcrossShardCounts) {
   const auto sessions = pick_sessions(10);
   const auto events = interleave(sessions);
-  const auto replay = [&](std::size_t shards, std::size_t threads) {
-    set_global_threads(threads);
+  const auto replay = [&](std::size_t shards, std::size_t max_chunk) {
     ServeConfig config;
     config.shards = shards;
-    config.queue_capacity = 1 << 12;
     ScoringServer server(*detector_, config);
     std::vector<OutputRecord> out;
-    for (const Event& event : events) {
-      EXPECT_EQ(server.enqueue(event, out), ScoringServer::Enqueue::kAccepted);
-    }
+    submit_mixed(server, events, out, max_chunk);
     server.shutdown(out);
     std::vector<std::string> lines;
     lines.reserve(out.size());
@@ -520,9 +516,8 @@ TEST_F(ServeFixture, RenderedOutputIdenticalAcrossShardCounts) {
   };
   const auto baseline = replay(1, 1);
   ASSERT_EQ(baseline.size(), events.size() + sessions.size());  // steps + shutdown reports
-  EXPECT_EQ(replay(3, 2), baseline);
-  EXPECT_EQ(replay(8, 4), baseline);
-  set_global_threads(1);
+  EXPECT_EQ(replay(3, 7), baseline);
+  EXPECT_EQ(replay(8, events.size()), baseline);
 }
 
 TEST_F(ServeFixture, IdleTtlSweepEvictsOnEventTime) {
@@ -544,10 +539,9 @@ TEST_F(ServeFixture, IdleTtlSweepEvictsOnEventTime) {
     e.has_timestamp = true;
     return e;
   };
-  ASSERT_EQ(server.enqueue(event_at("old", 0.0), out), ScoringServer::Enqueue::kAccepted);
-  ASSERT_EQ(server.enqueue(event_at("old", 1.0), out), ScoringServer::Enqueue::kAccepted);
-  ASSERT_EQ(server.enqueue(event_at("fresh", 100.0), out), ScoringServer::Enqueue::kAccepted);
-  server.pump(out);
+  const std::vector<Event> events = {event_at("old", 0.0), event_at("old", 1.0),
+                                     event_at("fresh", 100.0)};
+  ASSERT_EQ(server.submit_batch(events, out).rejected, 0u);
   EXPECT_EQ(server.active_sessions(), 2u);
 
   server.sweep(out);  // event clock is 100; "old" idle for 99s > 10s TTL
@@ -576,8 +570,7 @@ TEST_F(ServeFixture, CapacityEvictionBoundsSessionTable) {
     e.action = action;
     e.timestamp = static_cast<double>(s);
     e.has_timestamp = true;
-    ASSERT_EQ(server.enqueue(e, out), ScoringServer::Enqueue::kAccepted);
-    server.pump(out);
+    ASSERT_TRUE(server.submit_sync(e, out));
     EXPECT_LE(server.active_sessions(), 4u);
   }
   EXPECT_EQ(server.active_sessions(), 4u);
@@ -589,57 +582,6 @@ TEST_F(ServeFixture, CapacityEvictionBoundsSessionTable) {
   EXPECT_FALSE(reports.by_session.count("cap6"));
 }
 
-TEST_F(ServeFixture, BackpressureBlockReportsQueueFull) {
-  ServeConfig config;
-  config.shards = 1;
-  config.queue_capacity = 4;
-  config.backpressure = BackpressurePolicy::kBlock;
-  ScoringServer server(*detector_, config);
-  std::vector<OutputRecord> out;
-  Event e;
-  e.user_id = "u";
-  e.session_id = "s";
-  e.action = detector_->vocab().name(0);
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_EQ(server.enqueue(e, out), ScoringServer::Enqueue::kAccepted);
-  }
-  EXPECT_EQ(server.enqueue(e, out), ScoringServer::Enqueue::kQueueFull);
-  EXPECT_EQ(server.queued_events(), 4u);
-  server.pump(out);
-  EXPECT_EQ(server.queued_events(), 0u);
-  EXPECT_EQ(server.enqueue(e, out), ScoringServer::Enqueue::kAccepted);
-}
-
-TEST_F(ServeFixture, BackpressureDropOldestKeepsFreshest) {
-  ServeConfig config;
-  config.shards = 1;
-  config.queue_capacity = 4;
-  config.backpressure = BackpressurePolicy::kDropOldest;
-  ScoringServer server(*detector_, config);
-  StepCollector steps;
-  server.set_step_observer(steps.observer());
-  const std::uint64_t dropped_before = serve_metrics().dropped_events.value();
-  std::vector<OutputRecord> out;
-  for (int i = 0; i < 6; ++i) {
-    Event e;
-    e.user_id = "u";
-    e.session_id = "drop" + std::to_string(i);
-    e.action = detector_->vocab().name(0);
-    const auto result = server.enqueue(e, out);
-    EXPECT_EQ(result, i < 4 ? ScoringServer::Enqueue::kAccepted
-                            : ScoringServer::Enqueue::kDroppedOldest);
-  }
-  EXPECT_EQ(server.queued_events(), 4u);
-  EXPECT_EQ(serve_metrics().dropped_events.value() - dropped_before, 2u);
-  server.pump(out);
-  // drop0/drop1 were discarded; the four freshest survive.
-  EXPECT_FALSE(steps.by_session.count("drop0"));
-  EXPECT_FALSE(steps.by_session.count("drop1"));
-  for (int i = 2; i < 6; ++i) {
-    EXPECT_TRUE(steps.by_session.count("drop" + std::to_string(i))) << i;
-  }
-}
-
 TEST_F(ServeFixture, UnknownActionYieldsErrorRecord) {
   ServeConfig config;
   ScoringServer server(*detector_, config);
@@ -649,7 +591,7 @@ TEST_F(ServeFixture, UnknownActionYieldsErrorRecord) {
   e.user_id = "u";
   e.session_id = "s";
   e.action = "NoSuchActionEver";
-  EXPECT_EQ(server.enqueue(e, out), ScoringServer::Enqueue::kRejected);
+  EXPECT_FALSE(server.submit_sync(e, out));
   ASSERT_EQ(out.size(), 1u);
   std::vector<JsonField> fields;
   std::string error;
@@ -658,7 +600,7 @@ TEST_F(ServeFixture, UnknownActionYieldsErrorRecord) {
   EXPECT_EQ(serve_metrics().parse_errors.value() - errors_before, 1u);
   // Out-of-range numeric ids are rejected too.
   e.action = std::to_string(detector_->vocab().size());
-  EXPECT_EQ(server.enqueue(e, out), ScoringServer::Enqueue::kRejected);
+  EXPECT_FALSE(server.submit_sync(e, out));
 }
 
 TEST_F(ServeFixture, NumericActionIdScoresLikeName) {
@@ -681,38 +623,6 @@ TEST_F(ServeFixture, NumericActionIdScoresLikeName) {
   EXPECT_EQ(steps.by_session["name"][0].ocsvm_scores, steps.by_session["id"][0].ocsvm_scores);
 }
 
-TEST_F(ServeFixture, ShutdownDrainsQueuedBacklog) {
-  ServeConfig config;
-  config.shards = 2;
-  ScoringServer server(*detector_, config);
-  ReportCollector reports;
-  server.set_report_observer(reports.observer());
-  std::vector<OutputRecord> out;
-  const std::string action = detector_->vocab().name(1);
-  for (int s = 0; s < 5; ++s) {
-    for (int i = 0; i < 3; ++i) {
-      Event e;
-      e.user_id = "u" + std::to_string(s);
-      e.session_id = "open" + std::to_string(s);
-      e.action = action;
-      ASSERT_EQ(server.enqueue(e, out), ScoringServer::Enqueue::kAccepted);
-    }
-  }
-  // No pump: everything still queued. Shutdown must score the backlog
-  // and emit one report per open session.
-  server.shutdown(out);
-  EXPECT_EQ(server.active_sessions(), 0u);
-  EXPECT_EQ(server.queued_events(), 0u);
-  ASSERT_EQ(reports.by_session.size(), 5u);
-  for (const auto& [sid, entry] : reports.by_session) {
-    EXPECT_EQ(entry.first, ReportReason::kShutdown) << sid;
-    EXPECT_EQ(entry.second.steps, 3u) << sid;
-  }
-  // 15 step records + 5 reports, in seq order.
-  ASSERT_EQ(out.size(), 20u);
-  for (std::size_t i = 1; i < out.size(); ++i) EXPECT_GE(out[i].seq, out[i - 1].seq);
-}
-
 TEST_F(ServeFixture, ServeMetricsTrackSessions) {
   ServeMetrics& sm = serve_metrics();
   const std::uint64_t opened_before = sm.sessions_opened.value();
@@ -723,16 +633,17 @@ TEST_F(ServeFixture, ServeMetricsTrackSessions) {
   ScoringServer server(*detector_, config);
   std::vector<OutputRecord> out;
   const std::string action = detector_->vocab().name(2);
+  std::vector<Event> events;
   for (int s = 0; s < 3; ++s) {
     for (int i = 0; i < 4; ++i) {
       Event e;
       e.user_id = "m";
       e.session_id = "metrics" + std::to_string(s);
       e.action = action;
-      ASSERT_EQ(server.enqueue(e, out), ScoringServer::Enqueue::kAccepted);
+      events.push_back(e);
     }
   }
-  server.pump(out);
+  ASSERT_EQ(server.submit_batch(events, out).rejected, 0u);
   server.shutdown(out);
   EXPECT_EQ(sm.sessions_opened.value() - opened_before, 3u);
   EXPECT_EQ(sm.sessions_finished.value() - finished_before, 3u);
@@ -752,8 +663,7 @@ TEST_F(ServeFixture, HealthyVerdictsCarryNoDegradedFlag) {
   e.user_id = "h";
   e.session_id = "healthy";
   e.action = detector_->vocab().name(1);
-  ASSERT_EQ(server.enqueue(e, out), ScoringServer::Enqueue::kAccepted);
-  server.pump(out);
+  ASSERT_TRUE(server.submit_sync(e, out));
   server.shutdown(out);
   ASSERT_FALSE(out.empty());
   for (const auto& r : out) {
@@ -786,12 +696,7 @@ TEST_F(ServeFixture, DegradedDetectorServesFlaggedVerdicts) {
   const auto sessions = pick_sessions(4);
   ASSERT_GE(sessions.size(), 2u);
   std::vector<OutputRecord> out;
-  for (const Event& event : interleave(sessions)) {
-    while (server.enqueue(event, out) == ScoringServer::Enqueue::kQueueFull) {
-      server.pump(out);
-    }
-  }
-  server.pump(out);
+  submit_mixed(server, interleave(sessions), out);
   server.shutdown(out);
 
   std::size_t degraded_steps = 0;
@@ -815,7 +720,8 @@ TEST_F(ServeFixture, DegradedDetectorServesFlaggedVerdicts) {
 // The swap acceptance gate: sessions scored before the swap match the
 // old model's offline monitor bit-for-bit, sessions opened after match
 // the new model's — and the whole rendered stream is identical at any
-// shard/thread count. Compatible vocabularies: zero sessions rolled.
+// shard count and batch split. Compatible vocabularies: zero sessions
+// rolled.
 TEST_F(ServeFixture, HotSwapEquivalentToOfflinePerVersion) {
   const auto sessions = pick_sessions(10);
   ASSERT_GE(sessions.size(), 8u);
@@ -826,27 +732,21 @@ TEST_F(ServeFixture, HotSwapEquivalentToOfflinePerVersion) {
                                                  sessions.end());
   ASSERT_EQ(detector_->vocab().fingerprint(), detector_v2().vocab().fingerprint());
 
-  const auto replay = [&](std::size_t shards, std::size_t threads) {
-    set_global_threads(threads);
+  const auto replay = [&](std::size_t shards, std::size_t max_chunk) {
     ServeConfig config;
     config.shards = shards;
-    config.queue_capacity = 1 << 12;
     config.idle_ttl_seconds = 1e9;
     ScoringServer server(versioned(*detector_, "v1"), config);
     StepCollector steps;
     std::vector<OutputRecord> out;
     server.set_step_observer(steps.observer());
-    for (const Event& event : interleave(first)) {
-      EXPECT_EQ(server.enqueue(event, out), ScoringServer::Enqueue::kAccepted);
-    }
-    // Swap with the first trace still queued: swap_model drains it to the
-    // barrier under v1 first — nothing is lost, nothing scores under v2.
+    // The first trace scores under v1; its sessions stay open across the
+    // swap and keep scoring under v1 — nothing scores under v2.
+    submit_mixed(server, interleave(first), out, max_chunk);
     const auto stats = server.swap_model(versioned(detector_v2(), "v2"), out);
     EXPECT_EQ(stats.rolled_sessions, 0u) << "compatible vocabularies must pin-and-continue";
     EXPECT_EQ(server.current_model().version, "v2");
-    for (const Event& event : interleave(second, half)) {
-      EXPECT_EQ(server.enqueue(event, out), ScoringServer::Enqueue::kAccepted);
-    }
+    submit_mixed(server, interleave(second, half), out, max_chunk);
     server.shutdown(out);
 
     // Per-version offline equivalence.
@@ -880,9 +780,8 @@ TEST_F(ServeFixture, HotSwapEquivalentToOfflinePerVersion) {
   EXPECT_EQ(v1_reports, half);
   EXPECT_EQ(v2_reports, sessions.size() - half);
 
-  EXPECT_EQ(replay(3, 2), baseline);
-  EXPECT_EQ(replay(8, 4), baseline);
-  set_global_threads(1);
+  EXPECT_EQ(replay(3, 7), baseline);
+  EXPECT_EQ(replay(8, 64), baseline);
 }
 
 TEST_F(ServeFixture, IncompatibleSwapFinishesOpenSessionsWithModelSwapReports) {
@@ -904,12 +803,11 @@ TEST_F(ServeFixture, IncompatibleSwapFinishesOpenSessionsWithModelSwapReports) {
       e.user_id = "u";
       e.session_id = "roll" + std::to_string(s);
       e.action = action;
-      ASSERT_EQ(server.enqueue(e, out), ScoringServer::Enqueue::kAccepted);
+      ASSERT_TRUE(server.submit_sync(e, out));
     }
   }
-  // Swap across a vocabulary change with the backlog still queued: every
-  // queued event is scored under v1, then every open session is finished
-  // at the barrier — reported, never dropped.
+  // Swap across a vocabulary change with five sessions open: every open
+  // session is finished at the barrier — reported, never dropped.
   const auto stats = server.swap_model(versioned(detector_alt(), "v2"), out);
   EXPECT_EQ(stats.rolled_sessions, 5u);
   EXPECT_EQ(server.active_sessions(), 0u);
@@ -932,8 +830,7 @@ TEST_F(ServeFixture, IncompatibleSwapFinishesOpenSessionsWithModelSwapReports) {
   fresh.user_id = "u";
   fresh.session_id = "fresh";
   fresh.action = detector_alt().vocab().name(0);
-  EXPECT_EQ(server.enqueue(fresh, out), ScoringServer::Enqueue::kAccepted);
-  server.pump(out);
+  EXPECT_TRUE(server.submit_sync(fresh, out));
   EXPECT_EQ(server.active_sessions(), 1u);
   server.shutdown(out);
 }
@@ -946,15 +843,11 @@ TEST_F(ServeFixture, ShadowScoringDoesNotPerturbActiveOutput) {
   const auto replay = [&](const ShadowPlan* plan) {
     ServeConfig config;
     config.shards = 3;
-    config.queue_capacity = 1 << 12;
     config.idle_ttl_seconds = 1e9;
     ScoringServer server(versioned(*detector_, "v1"), config);
     if (plan != nullptr) server.set_shadow(*plan);
     std::vector<OutputRecord> out;
-    for (const Event& event : events) {
-      EXPECT_EQ(server.enqueue(event, out), ScoringServer::Enqueue::kAccepted);
-    }
-    server.pump(out);
+    submit_mixed(server, events, out);
     server.shutdown(out);
     std::vector<std::string> lines;
     lines.reserve(out.size());
@@ -1009,8 +902,7 @@ TEST_F(ServeFixture, UnversionedServerEmitsNoVersionField) {
   e.user_id = "u";
   e.session_id = "plain";
   e.action = detector_->vocab().name(0);
-  ASSERT_EQ(server.enqueue(e, out), ScoringServer::Enqueue::kAccepted);
-  server.pump(out);
+  ASSERT_TRUE(server.submit_sync(e, out));
   server.shutdown(out);
   ASSERT_FALSE(out.empty());
   for (const auto& r : out) {

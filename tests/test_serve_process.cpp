@@ -360,11 +360,15 @@ TEST_F(ServeProcessFixture, TcpFrontEndMatchesPipeModeByteForByte) {
     std::vector<std::string> reports;
   };
   // Splits pipe-mode stdout into per-connection verdicts: line i of
-  // `lines` belongs to connection owner[i].
+  // `lines` belongs to connection owner[i]. `batch` is the --batch flag
+  // ("" = the default).
   const auto run_pipe = [&](const std::vector<std::string>& lines,
-                            const std::vector<std::size_t>& owner, std::size_t connections) {
+                            const std::vector<std::size_t>& owner, std::size_t connections,
+                            const std::string& batch) {
     Run result;
-    ServeProcess proc({"--model=" + *model_path_, "--batch=1"});
+    std::vector<std::string> args = {"--model=" + *model_path_};
+    if (!batch.empty()) args.push_back(batch);
+    ServeProcess proc(args);
     int status = 0;
     const auto out = feed_and_drain(proc, lines, status);
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "pipe mode";
@@ -446,7 +450,7 @@ TEST_F(ServeProcessFixture, TcpFrontEndMatchesPipeModeByteForByte) {
     alternating[i % 2].push_back((*trace_)[i]);
     alternating_owner.push_back(i % 2);
   }
-  expect_same(run_pipe(*trace_, alternating_owner, 2),
+  expect_same(run_pipe(*trace_, alternating_owner, 2, "--batch=1"),
               run_listen(alternating, alternating_owner, false), "alternating lockstep");
 
   // Session-pinned stream per connection, with a malformed line and an
@@ -466,7 +470,7 @@ TEST_F(ServeProcessFixture, TcpFrontEndMatchesPipeModeByteForByte) {
     pinned_lines.insert(pinned_lines.end(), streams[c].begin(), streams[c].end());
     pinned_owner.insert(pinned_owner.end(), streams[c].size(), c);
   }
-  const Run pipe = run_pipe(pinned_lines, pinned_owner, 2);
+  const Run pipe = run_pipe(pinned_lines, pinned_owner, 2, "--batch=1");
   for (std::size_t c = 0; c < streams.size(); ++c) {
     ASSERT_EQ(pipe.per_connection[c].size(), streams[c].size()) << "connection " << c;
   }
@@ -474,6 +478,9 @@ TEST_F(ServeProcessFixture, TcpFrontEndMatchesPipeModeByteForByte) {
             std::string::npos);
   EXPECT_NE(pipe.per_connection[0][static_cast<std::size_t>(mid) + 1].find("unknown action"),
             std::string::npos);
+  // One batch per line or one batch for the whole stream: the error
+  // records land in their lines' slots either way.
+  expect_same(pipe, run_pipe(pinned_lines, pinned_owner, 2, ""), "pinned pipe, default batch");
   expect_same(pipe, run_listen(streams, pinned_owner, false), "pinned lockstep");
   expect_same(pipe, run_listen(streams, pinned_owner, true), "pinned pipelined");
 }

@@ -244,7 +244,7 @@ TEST(TraceEvents, ChromeTraceExportShape) {
 
 TEST(TraceEvents, NdjsonExportOneFlatObjectPerLine) {
   const std::vector<TraceEvent> events = {
-      make_event("enqueue", "k", 100, 7, "\"shard\":2"),
+      make_event("step", "k", 100, 7, "\"shard\":2"),
       make_event("report", "k", 200, 0),
   };
   std::ostringstream out;

@@ -242,15 +242,14 @@ class WalRecoveryFixture : public ::testing::Test {
     return events;
   }
 
-  /// Feeds `events` into `server` (pumping as needed) and appends output.
+  /// Feeds `events` into `server` in batches of up to 256 (stdin mode's
+  /// default --batch) and appends output.
   static void feed(ScoringServer& server, const std::vector<Event>& events,
                    std::vector<OutputRecord>& out) {
-    for (const Event& event : events) {
-      while (server.enqueue(event, out) == ScoringServer::Enqueue::kQueueFull) {
-        server.pump(out);
-      }
+    const std::span<const Event> all(events);
+    for (std::size_t begin = 0; begin < all.size(); begin += 256) {
+      server.submit_batch(all.subspan(begin, std::min<std::size_t>(256, all.size() - begin)), out);
     }
-    server.pump(out);
   }
 
   /// The sorted multiset of session_report lines in `out` — the payload
@@ -352,7 +351,7 @@ TEST_F(WalRecoveryFixture, CheckpointBoundsReplayToTheWatermark) {
          std::vector<Event>(events.begin(),
                             events.begin() + static_cast<std::ptrdiff_t>(checkpoint_at)),
          out);
-    crashed.checkpoint(out);
+    crashed.checkpoint();
     feed(crashed,
          std::vector<Event>(events.begin() + static_cast<std::ptrdiff_t>(checkpoint_at),
                             events.begin() + static_cast<std::ptrdiff_t>(crash_at)),
@@ -509,7 +508,7 @@ TEST_F(WalRecoveryFixture, SnapshotFailureKeepsWalForReplay) {
          std::vector<Event>(events.begin(), events.begin() + static_cast<std::ptrdiff_t>(cut)),
          out);
     failpoints::configure("wal.snapshot=always");
-    crashed.checkpoint(out);  // snapshots fail; WALs must survive
+    crashed.checkpoint();  // snapshots fail; WALs must survive
     failpoints::clear();
   }
   ServeConfig config;
